@@ -27,6 +27,19 @@ class UsageError(Exception):
     pass
 
 
+def _int_list(text, what):
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{what} must be integers separated by ',': {text!r}")
+
+
+def _require_positive(**flags):
+    for name, value in flags.items():
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be at least 1, got {value}")
+
+
 def _emit(obj):
     json.dump(obj, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
@@ -46,7 +59,7 @@ def _load_algebra(path):
         raise UsageError(f"{path} is not valid JSON: {e}")
     try:
         return core.from_json_dict(d)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, SkewLatticeError) as e:
         raise UsageError(f"{path} does not match the algebra format: {e}")
 
 
@@ -158,6 +171,7 @@ def _cached_catalog(order, method, workers):
 
 
 def cmd_enumerate(args):
+    _require_positive(order=args.order, workers=args.workers)
     method = "naive-oracle" if args.oracle else "pruned-search"
     cat = _cached_catalog(args.order, method, args.workers)
     if args.out:
@@ -182,15 +196,15 @@ def _parse_pairs(text):
         return []
     out = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
+        parts = _int_list(chunk, "parameter pairs")
         if len(parts) != 2:
             raise UsageError(f"expected 'x,y' pairs separated by ';': {text!r}")
-        out.append((int(parts[0]), int(parts[1])))
+        out.append(tuple(parts))
     return out
 
 
 def cmd_matrix(args):
-    dims = tuple(int(x) for x in args.dims.split(","))
+    dims = tuple(_int_list(args.dims, "--dims"))
     if len(dims) != 3:
         raise UsageError("--dims must give three block sizes, e.g. 1,1,1")
     if dims != (1, 1, 1):
@@ -242,6 +256,7 @@ def _verify_one(task):
 
 
 def cmd_verify(args):
+    _require_positive(order=args.order, workers=args.workers)
     selected = (
         args.laws.split(",") if args.laws else sorted(laws.ALL_LAW_CHECKS)
     )

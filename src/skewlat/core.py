@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .errors import (
     CapExceeded,
@@ -98,6 +99,22 @@ class SkewLattice:
         for x in xs[1:]:
             acc = t[acc][x]
         return acc
+
+
+def _cached(fn):
+    """Compute ``fn(s)`` once per frozen :class:`SkewLattice` instance and
+    keep it in the instance's ``__dict__``.  The value is shared by every
+    caller, so it must be immutable; it is not part of ``==`` or ``hash``."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(s):
+        facts = s.__dict__
+        if key not in facts:
+            facts[key] = fn(s)
+        return facts[key]
+
+    return cached
 
 
 @dataclass
@@ -281,6 +298,9 @@ def from_json_dict(d):
     meet, join = d["meet"], d["join"]
     if len(meet) != n or len(join) != n:
         raise DimensionMismatch("table size differs from declared n")
+    for row in (*meet, *join):
+        if any(type(v) is not int for v in row):
+            raise TypeError("table entries must be integers")
     names = d.get("names")
     return SkewLattice(meet, join), names
 

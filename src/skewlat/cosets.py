@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import bits
-from .core import SkewLattice, validate
+from .core import SkewLattice
+from .decompose import kimura
 from .errors import ElementNotInClass, InternalInconsistency
 from .greens import dclass_order, green_L, green_R, natural_order
 
@@ -405,8 +406,6 @@ def flat_vs_full_correspondence(
 ):
     """Both sides of the four flat-vs-full coset equivalences for (x, y),
     plus their factor-wise forms through the fibered decomposition."""
-    from .decompose import kimura
-
     A, B = pair.upper, pair.lower
     if x in B and y in B:
         clauses = {

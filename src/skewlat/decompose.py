@@ -9,17 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits, least
-from .core import SkewLattice
+from ._bits import bits
+from .core import SkewLattice, _cached
 from .errors import InternalInconsistency
 from .greens import (
-    Partition,
     QuotientMap,
     dclass_order,
     green_D,
     green_L,
     green_R,
-    natural_order,
     quotient,
 )
 
@@ -43,21 +41,17 @@ class Sections:
     pi_R: tuple | None
 
 
+@_cached
 def kimura(s: SkewLattice) -> KimuraDecomposition:
     """Build S/R, S/L, S/D and verify x -> (x_L, x_R) is an isomorphism
     onto the fibered product."""
     qr = quotient(s, green_R(s))
     ql = quotient(s, green_L(s))
     qd = quotient(s, green_D(s))
-    d = green_D(s)
-    # class of an S/R element in S/D: via any source preimage
-    rep_r = {}
-    rep_l = {}
-    for e in range(s.n):
-        rep_r.setdefault(qr.class_of[e], e)
-        rep_l.setdefault(ql.class_of[e], e)
-    p = {u: qd.class_of[rep_r[u]] for u in rep_r}
-    q = {v: qd.class_of[rep_l[v]] for v in rep_l}
+    # class of an S/R (S/L) element in S/D: R and L both refine D, so every
+    # source preimage gives the same one
+    p = {qr.class_of[e]: qd.class_of[e] for e in range(s.n)}
+    q = {ql.class_of[e]: qd.class_of[e] for e in range(s.n)}
     pairs = sorted(
         (u, v)
         for u in range(qr.quotient.n)
@@ -91,9 +85,8 @@ def kimura(s: SkewLattice) -> KimuraDecomposition:
 
 def projections(s: SkewLattice):
     """(x_L, x_R) maps: x_L lives in S/R, x_R in S/L."""
-    qr = quotient(s, green_R(s))
-    ql = quotient(s, green_L(s))
-    return qr.class_of, ql.class_of
+    dec = kimura(s)
+    return dec.left_factor.class_of, dec.right_factor.class_of
 
 
 def _is_sublattice(s, chosen, mt, jt):
@@ -163,7 +156,6 @@ def find_lattice_section(s: SkewLattice) -> Sections:
             )
         pi_l.append(cl[0])
         pi_r.append(cr[0])
-    dd = green_D(s)
     for e in range(s.n):
         if pi_l[pi_r[e]] != pi_r[pi_l[e]]:
             raise InternalInconsistency("retractions do not commute")
@@ -175,7 +167,7 @@ def find_lattice_section(s: SkewLattice) -> Sections:
                 raise InternalInconsistency("ker(pi_L) != R")
             if (pi_r[a] == pi_r[b]) != l.same(a, b):
                 raise InternalInconsistency("ker(pi_R) != L")
-            if (pi_l[pi_r[a]] == pi_l[pi_r[b]]) != dd.same(a, b):
+            if (pi_l[pi_r[a]] == pi_l[pi_r[b]]) != d.same(a, b):
                 raise InternalInconsistency("ker(pi_L . pi_R) != D")
     return Sections(s0, s_l, s_r, tuple(pi_l), tuple(pi_r))
 
@@ -184,8 +176,7 @@ def skew_diamonds(s: SkewLattice):
     """All (J, A, B, M) with A, B incomparable, J their join and M their
     meet in S/D; classes are returned as frozensets of elements."""
     d, leq = dclass_order(s)
-    qd = quotient(s, d)
-    t = qd.quotient
+    t = kimura(s).base.quotient
     k = len(d.blocks)
     out = []
     for a in range(k):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import bits, least, mask_of
-from .core import SkewLattice
+from .core import SkewLattice, _cached
 from .errors import (
     ElementOutOfRange,
     InternalInconsistency,
@@ -96,6 +96,7 @@ def _partition_from_pairs(n, related):
     return Partition.from_block_of([find(x) for x in range(n)])
 
 
+@_cached
 def green_R(s: SkewLattice) -> Partition:
     mt = s.meet.entries
     return _partition_from_pairs(
@@ -103,6 +104,7 @@ def green_R(s: SkewLattice) -> Partition:
     )
 
 
+@_cached
 def green_L(s: SkewLattice) -> Partition:
     mt = s.meet.entries
     return _partition_from_pairs(
@@ -110,27 +112,13 @@ def green_L(s: SkewLattice) -> Partition:
     )
 
 
+@_cached
 def green_D(s: SkewLattice) -> Partition:
     """D as the join of R and L, cross-checked against x^y^x = x."""
     n = s.n
     mt = s.meet.entries
     r, l = green_R(s), green_L(s)
-    labels = list(range(n))
-
-    def find(x):
-        while labels[x] != x:
-            labels[x] = labels[labels[x]]
-            x = labels[x]
-        return x
-
-    for p in (r, l):
-        for m in p.blocks:
-            xs = list(bits(m))
-            for y in xs[1:]:
-                rx, ry = find(xs[0]), find(y)
-                if rx != ry:
-                    labels[max(rx, ry)] = min(rx, ry)
-    d = Partition.from_block_of([find(x) for x in range(n)])
+    d = _partition_from_pairs(n, lambda x, y: r.same(x, y) or l.same(x, y))
 
     # Independent path: the direct band characterization.
     for x in range(n):
@@ -144,6 +132,7 @@ def green_D(s: SkewLattice) -> Partition:
     return d
 
 
+@_cached
 def green_H(s: SkewLattice) -> Partition:
     r, l = green_R(s), green_L(s)
     return _partition_from_pairs(
@@ -151,6 +140,7 @@ def green_H(s: SkewLattice) -> Partition:
     )
 
 
+@_cached
 def natural_preorder(s: SkewLattice):
     """Row masks for x >= y in the preorder sense: rel[x] bit y iff x >~ y."""
     n, mt = s.n, s.meet.entries
@@ -159,6 +149,7 @@ def natural_preorder(s: SkewLattice):
     )
 
 
+@_cached
 def natural_order(s: SkewLattice):
     n, mt = s.n, s.meet.entries
     return tuple(
@@ -252,15 +243,17 @@ def eggboxes(s: SkewLattice):
     return out
 
 
+@_cached
 def dclass_order(s: SkewLattice):
     """(D, leq) where leq[i][j] iff class i <= class j in S/D."""
     d = green_D(s)
     pre = natural_preorder(s)
     k = len(d.blocks)
     reps = [least(m) for m in d.blocks]
-    leq = [
-        [bool(pre[reps[j]] >> reps[i] & 1) for j in range(k)] for i in range(k)
-    ]
+    leq = tuple(
+        tuple(bool(pre[reps[j]] >> reps[i] & 1) for j in range(k))
+        for i in range(k)
+    )
     return d, leq
 
 

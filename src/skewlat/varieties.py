@@ -17,7 +17,8 @@ from .errors import (
     ElementOutOfRange,
     InternalInconsistency,
 )
-from .greens import green_D, green_L, green_R, quotient
+from .decompose import kimura
+from .greens import green_D, green_L, green_R
 
 ARITY_CAP = 4
 
@@ -178,23 +179,24 @@ def is_rectangular(s):
     return check_identity(s, RECTANGULAR)
 
 
-def is_right_handed(s):
-    """R = D; witness is the least pair D-related but not R-related."""
-    r, d = green_R(s), green_D(s)
+def _handed(s, rel):
+    """rel = D; witness is the least pair D-related but not rel-related."""
+    d = green_D(s)
     for a in range(s.n):
         for b in range(a + 1, s.n):
-            if d.same(a, b) and not r.same(a, b):
+            if d.same(a, b) and not rel.same(a, b):
                 return False, (a, b)
     return True, None
+
+
+def is_right_handed(s):
+    """R = D."""
+    return _handed(s, green_R(s))
 
 
 def is_left_handed(s):
-    l, d = green_L(s), green_D(s)
-    for a in range(s.n):
-        for b in range(a + 1, s.n):
-            if d.same(a, b) and not l.same(a, b):
-                return False, (a, b)
-    return True, None
+    """L = D."""
+    return _handed(s, green_L(s))
 
 
 def is_upper_symmetric(s):
@@ -223,43 +225,33 @@ def is_symmetric(s):
     return is_lower_symmetric(s)
 
 
-def is_cancellative(s):
-    """zvx=zvy & z^x=z^y force x=y, and the mirrored version."""
+def _cancellative(s, left, right):
+    """Least (a, b, c) with a != b that c fails to tell apart: on the left,
+    cva=cvb & c^a=c^b; on the right, avc=bvc & a^c=b^c."""
     mt, jt = s.meet.entries, s.join.entries
     for a in range(s.n):
         for b in range(s.n):
             if a == b:
                 continue
             for c in range(s.n):
-                if jt[c][a] == jt[c][b] and mt[c][a] == mt[c][b]:
+                if left and jt[c][a] == jt[c][b] and mt[c][a] == mt[c][b]:
                     return False, (a, b, c)
-                if jt[a][c] == jt[b][c] and mt[a][c] == mt[b][c]:
+                if right and jt[a][c] == jt[b][c] and mt[a][c] == mt[b][c]:
                     return False, (a, b, c)
     return True, None
+
+
+def is_cancellative(s):
+    """zvx=zvy & z^x=z^y force x=y, and the mirrored version."""
+    return _cancellative(s, left=True, right=True)
 
 
 def is_right_cancellative(s):
-    mt, jt = s.meet.entries, s.join.entries
-    for a in range(s.n):
-        for b in range(s.n):
-            if a == b:
-                continue
-            for c in range(s.n):
-                if jt[a][c] == jt[b][c] and mt[a][c] == mt[b][c]:
-                    return False, (a, b, c)
-    return True, None
+    return _cancellative(s, left=False, right=True)
 
 
 def is_left_cancellative(s):
-    mt, jt = s.meet.entries, s.join.entries
-    for a in range(s.n):
-        for b in range(s.n):
-            if a == b:
-                continue
-            for c in range(s.n):
-                if jt[c][a] == jt[c][b] and mt[c][a] == mt[c][b]:
-                    return False, (a, b, c)
-    return True, None
+    return _cancellative(s, left=True, right=False)
 
 
 def is_simply_cancellative(s):
@@ -273,24 +265,13 @@ def is_simply_cancellative(s):
     return True, None
 
 
-def _lattice_leq(s):
-    d = green_D(s)
-    q = quotient(s, d)
-    t = q.quotient
-    k = t.n
-    return t, [
-        [t.meet[i][j] == i and t.meet[j][i] == i for j in range(k)]
-        for i in range(k)
-    ]
-
-
 def is_quasi_distributive(s):
     """S/D is a distributive lattice: no M3 or N5 five-element sublattice.
 
     Distributivity is decided on the quotient order by an exhaustive scan
     over 5-subsets; witness is the offending subset of S/D classes.
     """
-    t, leq = _lattice_leq(s)
+    t = kimura(s).base.quotient
     k = t.n
     if k < 5:
         return True, None
@@ -316,16 +297,12 @@ def is_quasi_distributive(s):
 
 def is_left_coset_cancellative(s):
     """S/R is cancellative."""
-    q = quotient(s, green_R(s))
-    ok, w = is_cancellative(q.quotient)
-    return ok, w
+    return is_cancellative(kimura(s).left_factor.quotient)
 
 
 def is_right_coset_cancellative(s):
     """S/L is cancellative."""
-    q = quotient(s, green_L(s))
-    ok, w = is_cancellative(q.quotient)
-    return ok, w
+    return is_cancellative(kimura(s).right_factor.quotient)
 
 
 def is_upper_cancellative(s):

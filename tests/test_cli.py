@@ -171,3 +171,43 @@ def test_cache_dir(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "pruned-search-order2" / "index.json").exists()
     _, out_b, _ = run(capsys, "enumerate", "--order", "2")
     assert out_a == out_b
+
+
+_RAGGED = {"n": 2, "meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]]}
+_OUT_OF_RANGE = {"n": 2, "meet": [[0, 0], [0, 5]], "join": [[0, 1], [1, 1]]}
+_BOOLEAN = {"n": 2, "meet": [[0, 0], [0, True]], "join": [[0, 1], [1, True]]}
+
+
+@pytest.mark.parametrize(
+    "algebra,argv",
+    [
+        pytest.param(_RAGGED, ["validate"], id="validate-ragged"),
+        pytest.param(_RAGGED, ["classify"], id="classify-ragged"),
+        pytest.param(_OUT_OF_RANGE, ["validate"], id="validate-out-of-range"),
+        pytest.param(_OUT_OF_RANGE, ["classify"], id="classify-out-of-range"),
+        pytest.param(_BOOLEAN, ["validate"], id="validate-boolean"),
+        pytest.param(_BOOLEAN, ["classify"], id="classify-boolean"),
+        pytest.param(
+            None, ["matrix", "--p", "3", "--a-params", "a,b"], id="a-params"
+        ),
+        pytest.param(None, ["matrix", "--p", "3", "--dims", "1,x,1"], id="dims"),
+        pytest.param(None, ["enumerate", "--order", "0"], id="order-0"),
+        pytest.param(
+            None,
+            ["enumerate", "--order", "2", "--workers", "-3"],
+            id="enumerate-workers",
+        ),
+        pytest.param(
+            None, ["verify", "--order", "2", "--workers", "0"], id="verify-workers"
+        ),
+    ],
+)
+def test_malformed_input_exit_2(capsys, tmp_path, algebra, argv):
+    if algebra is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(algebra))
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
