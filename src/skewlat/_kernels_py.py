@@ -1,13 +1,15 @@
 """Pure-Python kernels for the hot loops.
 
-Same API as the compiled extension `_kernels_c`; `skewlat.kernels` picks
-whichever is available at import time.  Tables are flat tuples of length
-n*n, row-major.
+Same API and identical output as the compiled extension `_kernels_c`;
+`skewlat.kernels` picks whichever is available at import time.  Tables are
+flat tuples of length n*n, row-major.
 
-The search strategy mirrors the one in the compiled twin exactly: fill the
-meet table cell-by-cell with incremental associativity checking, then
-complete the join table from the absorption pins, filtering candidates by
-the two meet-absorption laws.
+The search fills the meet table cell by cell, then completes the join table
+from the absorption pins, filtering candidates by the two meet-absorption
+laws.  Unlike the compiled twin, which rescans every triple after each
+assignment, this path re-checks associativity only on the triples that read
+the cell just assigned, and `canonical_pair` abandons a relabeling at the
+first row that exceeds the best key so far.
 """
 
 from itertools import permutations
@@ -25,20 +27,48 @@ def assoc_witness(flat, n):
     return None
 
 
-def _partial_assoc_ok(t, n):
-    # t uses -1 for unknown; skip any triple touching an unknown entry.
+def _assoc_ok_at(t, n, pos):
+    """Associativity of every known triple that reads cell `pos`.
+
+    Called right after `pos` is assigned, on a table whose other known
+    triples already pass, so the rest of the table need not be rescanned.
+    t uses -1 for unknown; a triple touching an unknown entry is skipped.
+    """
+    i, j = divmod(pos, n)
+    v = t[pos]
+    ri, rj, rv = i * n, j * n, v * n
+    # (x, y) = (i, j): (i.j).z against i.(j.z)
+    for z in range(n):
+        b = t[rj + z]
+        if b >= 0:
+            lhs = t[rv + z]
+            rhs = t[ri + b]
+            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                return False
+    # (y, z) = (i, j): (x.i).j against x.(i.j)
     for x in range(n):
-        for y in range(n):
-            a = t[x * n + y]
-            if a < 0:
-                continue
-            for z in range(n):
-                b = t[y * n + z]
-                if b < 0:
-                    continue
-                lhs = t[a * n + z]
+        a = t[x * n + i]
+        if a >= 0:
+            lhs = t[a * n + j]
+            rhs = t[x * n + v]
+            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                return False
+    for p, a in enumerate(t):
+        # lhs cell: x.y = i and z = j, so (x.y).z is v
+        if a == i:
+            x, y = divmod(p, n)
+            b = t[y * n + j]
+            if b >= 0:
                 rhs = t[x * n + b]
-                if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                if rhs >= 0 and rhs != v:
+                    return False
+        # rhs cell: x = i and y.z = j, so x.(y.z) is v
+        if a == j:
+            y, z = divmod(p, n)
+            c = t[ri + y]
+            if c >= 0:
+                lhs = t[c * n + z]
+                if lhs >= 0 and lhs != v:
                     return False
     return True
 
@@ -69,8 +99,8 @@ def meet_tables(n, prefix=None):
         for k, v in enumerate(prefix):
             i, j = cells[k]
             t[i * n + j] = v
-        if not _partial_assoc_ok(t, n):
-            return []
+            if not _assoc_ok_at(t, n, i * n + j):
+                return []
         start = len(prefix)
     out = []
 
@@ -83,7 +113,7 @@ def meet_tables(n, prefix=None):
         pos = i * n + j
         for v in range(n):
             t[pos] = v
-            if _partial_assoc_ok(t, n):
+            if _assoc_ok_at(t, n, pos):
                 fill(k + 1)
         t[pos] = -1
 
@@ -93,28 +123,23 @@ def meet_tables(n, prefix=None):
 
 def join_completions(meet, n):
     """All join tables turning the given meet band into a skew lattice."""
-    jt = [-1] * (n * n)
-    for i in range(n):
-        jt[i * n + i] = i
-    # Absorption pins every cell of the form (a, a^b) and (b^a, a).
+    # Absorption pins every cell of the form (a, a^b) and (b^a, a); b = a
+    # pins the diagonal.
+    pins = {}
     for a in range(n):
         for b in range(n):
-            for pos, val in (
-                ((a * n + meet[a * n + b]), a),
-                ((meet[b * n + a] * n + a), a),
-            ):
-                if jt[pos] >= 0 and jt[pos] != val:
+            for pos in (a * n + meet[a * n + b], meet[b * n + a] * n + a):
+                if pins.setdefault(pos, a) != a:
                     return []
-                jt[pos] = val
-    if not _partial_assoc_ok(jt, n):
-        return []
-    # x^(xvy)=x and (xvy)^y=y restrict the remaining cells.
+    # x^(xvy)=x and (xvy)^y=y restrict the remaining cells.  Most bands
+    # fail here, so this runs before the pins' associativity check.
     cand = {}
     for x in range(n):
         for y in range(n):
             pos = x * n + y
-            if jt[pos] >= 0:
-                if meet[x * n + jt[pos]] != x or meet[jt[pos] * n + y] != y:
+            if pos in pins:
+                z = pins[pos]
+                if meet[x * n + z] != x or meet[z * n + y] != y:
                     return []
                 continue
             cs = [
@@ -125,6 +150,15 @@ def join_completions(meet, n):
             if not cs:
                 return []
             cand[pos] = cs
+    # Place the pins one new cell at a time, each checked incrementally.
+    jt = [-1] * (n * n)
+    for i in range(n):
+        jt[i * n + i] = i
+    for pos, val in pins.items():
+        if jt[pos] < 0:
+            jt[pos] = val
+            if not _assoc_ok_at(jt, n, pos):
+                return []
     free = sorted(cand)
     out = []
 
@@ -135,7 +169,7 @@ def join_completions(meet, n):
         pos = free[k]
         for v in cand[pos]:
             jt[pos] = v
-            if _partial_assoc_ok(jt, n):
+            if _assoc_ok_at(jt, n, pos):
                 fill(k + 1)
         jt[pos] = -1
 
@@ -161,8 +195,26 @@ def canonical_pair(meet, join, n):
     best = None
     best_perm = None
     for perm in permutations(range(n)):
-        key = relabel(meet, n, perm) + relabel(join, n, perm)
-        if best is None or key < best:
-            best = key
-            best_perm = perm
-    return best[: n * n], best[n * n:], best_perm
+        inv = [0] * n
+        for a, b in enumerate(perm):
+            inv[b] = a
+        # Row p of relabel(table, n, perm) is the source row inv[p], read
+        # in the order inv and mapped through perm.
+        key = []
+        tied = best is not None
+        for table, r in [(meet, a * n) for a in inv] + [(join, a * n) for a in inv]:
+            row = [perm[table[r + q]] for q in inv]
+            if tied:
+                ref = best[len(key)]
+                if row > ref:
+                    break
+                tied = row == ref
+            key.append(row)
+        else:
+            if not tied:
+                best, best_perm = key, perm
+    return (
+        tuple(v for row in best[:n] for v in row),
+        tuple(v for row in best[n:] for v in row),
+        best_perm,
+    )

@@ -15,7 +15,12 @@ import sys
 
 from . import catalog as _catalog
 from . import core, cosets, decompose, greens, laws, matrix_rings, varieties
-from .errors import InternalInconsistency, SkewLatticeError
+from .errors import (
+    InternalInconsistency,
+    NotAPrimeField,
+    OrderTooLarge,
+    SkewLatticeError,
+)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -395,7 +400,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as e:
+    # a non-prime --p or an --order above the method's cap is a usage error
+    except (UsageError, NotAPrimeField, OrderTooLarge) as e:
         _info(f"error: {e}")
         return EXIT_USAGE
     except InternalInconsistency as e:

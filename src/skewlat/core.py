@@ -302,6 +302,11 @@ def from_json_dict(d):
         if any(type(v) is not int for v in row):
             raise TypeError("table entries must be integers")
     names = d.get("names")
+    if names is not None:
+        if type(names) is not list or any(type(v) is not str for v in names):
+            raise TypeError("names must be a list of strings")
+        if len(names) != n:
+            raise DimensionMismatch("names length differs from n")
     return SkewLattice(meet, join), names
 
 

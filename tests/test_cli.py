@@ -176,6 +176,9 @@ def test_cache_dir(capsys, tmp_path, monkeypatch):
 _RAGGED = {"n": 2, "meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]]}
 _OUT_OF_RANGE = {"n": 2, "meet": [[0, 0], [0, 5]], "join": [[0, 1], [1, 1]]}
 _BOOLEAN = {"n": 2, "meet": [[0, 0], [0, True]], "join": [[0, 1], [1, True]]}
+_CHAIN2 = {"n": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]]}
+_SHORT_NAMES = dict(_CHAIN2, names=["a"])
+_NON_STRING_NAMES = dict(_CHAIN2, names=["a", 3])
 
 
 @pytest.mark.parametrize(
@@ -199,6 +202,17 @@ _BOOLEAN = {"n": 2, "meet": [[0, 0], [0, True]], "join": [[0, 1], [1, True]]}
         ),
         pytest.param(
             None, ["verify", "--order", "2", "--workers", "0"], id="verify-workers"
+        ),
+        pytest.param(
+            _SHORT_NAMES, ["export", "--format", "dot"], id="export-short-names"
+        ),
+        pytest.param(_NON_STRING_NAMES, ["validate"], id="validate-non-string-names"),
+        pytest.param(None, ["matrix", "--p", "4"], id="matrix-non-prime"),
+        pytest.param(None, ["enumerate", "--order", "9"], id="order-above-cap"),
+        pytest.param(
+            None,
+            ["enumerate", "--order", "5", "--oracle"],
+            id="oracle-order-above-cap",
         ),
     ],
 )
