@@ -16,7 +16,9 @@ from itertools import permutations
 
 
 def assoc_witness(flat, n):
-    """First (x, y, z) violating associativity, or None."""
+    """First (x, y, z) violating associativity, or None.  No library code
+    calls it (`core.validate` keeps a nested-row copy, faster there); the
+    benchmark's kernel loop times it."""
     for x in range(n):
         row_x = x * n
         for y in range(n):

@@ -26,14 +26,28 @@ class Catalog:
     provenance: str
 
 
+def _from_flat(mt, jt, n) -> SkewLattice:
+    """The algebra whose row-major flat tables are mt and jt."""
+    return SkewLattice(
+        [[mt[i * n + j] for j in range(n)] for i in range(n)],
+        [[jt[i * n + j] for j in range(n)] for i in range(n)],
+    )
+
+
 def canonical(s: SkewLattice) -> SkewLattice:
     """The least relabeling of s under lexicographic (meet, join) order."""
-    n = s.n
-    cm, cj, _ = canonical_pair(s.meet.flat(), s.join.flat(), n)
-    return SkewLattice(
-        [[cm[i * n + j] for j in range(n)] for i in range(n)],
-        [[cj[i * n + j] for j in range(n)] for i in range(n)],
-    )
+    cm, cj, _ = canonical_pair(s.meet.flat(), s.join.flat(), s.n)
+    return _from_flat(cm, cj, s.n)
+
+
+_ORDER_CAPS = {"pruned-search": PRUNED_MAX_ORDER, "naive-oracle": NAIVE_MAX_ORDER}
+
+
+def check_order_cap(order: int, method: str = "pruned-search"):
+    """Raise OrderTooLarge when `method` cannot enumerate `order`."""
+    cap = _ORDER_CAPS.get(method)
+    if cap is not None and order > cap:
+        raise OrderTooLarge(f"{method.replace('-', ' ')} capped at order {cap}")
 
 
 def _invariants(s: SkewLattice):
@@ -94,9 +108,8 @@ def enumerate_catalog(
 ) -> Catalog:
     """All skew lattices of the given order, one per isomorphism class,
     in canonical form, sorted; identical output for any worker count."""
+    check_order_cap(order, method)
     if method == "pruned-search":
-        if order > PRUNED_MAX_ORDER:
-            raise OrderTooLarge(f"pruned search capped at order {PRUNED_MAX_ORDER}")
         if order == 1:
             found = {(mt, jt) for mt in meet_tables(1) for jt in join_completions(mt, 1)}
         elif workers <= 1:
@@ -110,8 +123,6 @@ def enumerate_catalog(
                 for part in pool.imap_unordered(_search_task, tasks, chunksize=64):
                     found |= part
     elif method == "naive-oracle":
-        if order > NAIVE_MAX_ORDER:
-            raise OrderTooLarge(f"naive oracle capped at order {NAIVE_MAX_ORDER}")
         found = set()
         n = order
         cells = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -131,16 +142,8 @@ def enumerate_catalog(
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
 
-    algebras = []
-    for mt, jt in sorted(found):
-        n = order
-        algebras.append(
-            SkewLattice(
-                [[mt[i * n + j] for j in range(n)] for i in range(n)],
-                [[jt[i * n + j] for j in range(n)] for i in range(n)],
-            )
-        )
-    return Catalog(order=order, algebras=tuple(algebras), provenance=method)
+    algebras = tuple(_from_flat(mt, jt, order) for mt, jt in sorted(found))
+    return Catalog(order=order, algebras=algebras, provenance=method)
 
 
 # --- named constructions --------------------------------------------------

@@ -262,6 +262,8 @@ def _verify_one(task):
 
 def cmd_verify(args):
     _require_positive(order=args.order, workers=args.workers)
+    if args.order:
+        _catalog.check_order_cap(args.order)
     selected = (
         args.laws.split(",") if args.laws else sorted(laws.ALL_LAW_CHECKS)
     )

@@ -134,6 +134,7 @@ class ValidationReport:
         }
 
 
+# kept on purpose: kernels.assoc_witness plus a flat() copy is slower here
 def _assoc_witness(t, n):
     for x in range(n):
         for y in range(n):
@@ -190,6 +191,7 @@ def validate(meet, join) -> ValidationReport:
 
     report = ValidationReport(valid=not failures, failures=failures)
 
+    # kept on purpose: _kernels_py._is_regular plus a flat() copy is slower here
     def regular(t):
         # xyxzx = xyzx on all triples
         for x in range(n):

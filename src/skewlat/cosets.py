@@ -50,6 +50,19 @@ def full_coset_join(s, C, x):
     return frozenset(s.j(c, x, c) for c in C)
 
 
+# flavor -> (coset function, "meet" or "join").  Meet cosets are taken of
+# an upper class through elements below it, join cosets of a lower class
+# through elements above it; left and right are mirror images.
+COSET_FLAVORS = {
+    "full-join": (full_coset_join, "join"),
+    "right-join": (right_coset_join, "join"),
+    "left-join": (left_coset_join, "join"),
+    "full-meet": (full_coset_meet, "meet"),
+    "right-meet": (right_coset_meet, "meet"),
+    "left-meet": (left_coset_meet, "meet"),
+}
+
+
 # --- comparable D-class pairs --------------------------------------------
 
 
@@ -404,95 +417,54 @@ def kimura_diagram_check(s: SkewLattice, pair: DClassPair, a: int, b: int):
 def flat_vs_full_correspondence(
     s: SkewLattice, pair: DClassPair, x: int, y: int
 ):
-    """Both sides of the four flat-vs-full coset equivalences for (x, y),
-    plus their factor-wise forms through the fibered decomposition."""
+    """Both sides of the two flat-vs-full coset equivalences for (x, y),
+    plus their factor-wise forms through the fibered decomposition: meet
+    cosets of the upper class when x, y lie in the lower class, join
+    cosets of the lower class when they lie in the upper one."""
     A, B = pair.upper, pair.lower
     if x in B and y in B:
-        clauses = {
-            "right-meet": (
-                right_coset_meet(s, A, x) == right_coset_meet(s, A, y),
-                full_coset_meet(s, A, x) == full_coset_meet(s, A, y)
-                and green_R(s).same(x, y),
-            ),
-            "left-meet": (
-                left_coset_meet(s, A, x) == left_coset_meet(s, A, y),
-                full_coset_meet(s, A, x) == full_coset_meet(s, A, y)
-                and green_L(s).same(x, y),
-            ),
-        }
+        kind, C = "meet", A
     elif x in A and y in A:
-        clauses = {
-            "right-join": (
-                right_coset_join(s, B, x) == right_coset_join(s, B, y),
-                full_coset_join(s, B, x) == full_coset_join(s, B, y)
-                and green_R(s).same(x, y),
-            ),
-            "left-join": (
-                left_coset_join(s, B, x) == left_coset_join(s, B, y),
-                full_coset_join(s, B, x) == full_coset_join(s, B, y)
-                and green_L(s).same(x, y),
-            ),
-        }
+        kind, C = "join", B
     else:
         raise ElementNotInClass(
             f"{x}, {y} must lie in the same class of the pair"
         )
+    right, left, full = (
+        COSET_FLAVORS[f"{side}-{kind}"][0] for side in ("right", "left", "full")
+    )
+    same = lambda fn, t, D, u, v: fn(t, D, u) == fn(t, D, v)
+    direct_full = same(full, s, C, x, y)
+    direct_right = same(right, s, C, x, y)
+    direct_left = same(left, s, C, x, y)
 
     dec = kimura(s)
     xl, xr = dec.left_factor.class_of, dec.right_factor.class_of
     sl, sr = dec.left_factor.quotient, dec.right_factor.quotient
-    upper_or_lower = A if x in B else B
-    CL = frozenset(xl[e] for e in upper_or_lower)
-    CR = frozenset(xr[e] for e in upper_or_lower)
-    if x in B:
-        factor_full = (
-            full_coset_meet(sl, CL, xl[x]) == full_coset_meet(sl, CL, xl[y])
-            and full_coset_meet(sr, CR, xr[x]) == full_coset_meet(sr, CR, xr[y])
-        )
-        direct_full = full_coset_meet(s, A, x) == full_coset_meet(s, A, y)
-        factor_right = xl[x] == xl[y] and right_coset_meet(
-            sr, CR, xr[x]
-        ) == right_coset_meet(sr, CR, xr[y])
-        direct_right = right_coset_meet(s, A, x) == right_coset_meet(s, A, y)
-        factor_left = xr[x] == xr[y] and left_coset_meet(
-            sl, CL, xl[x]
-        ) == left_coset_meet(sl, CL, xl[y])
-        direct_left = left_coset_meet(s, A, x) == left_coset_meet(s, A, y)
-    else:
-        factor_full = (
-            full_coset_join(sl, CL, xl[x]) == full_coset_join(sl, CL, xl[y])
-            and full_coset_join(sr, CR, xr[x]) == full_coset_join(sr, CR, xr[y])
-        )
-        direct_full = full_coset_join(s, B, x) == full_coset_join(s, B, y)
-        factor_right = xl[x] == xl[y] and right_coset_join(
-            sr, CR, xr[x]
-        ) == right_coset_join(sr, CR, xr[y])
-        direct_right = right_coset_join(s, B, x) == right_coset_join(s, B, y)
-        factor_left = xr[x] == xr[y] and left_coset_join(
-            sl, CL, xl[x]
-        ) == left_coset_join(sl, CL, xl[y])
-        direct_left = left_coset_join(s, B, x) == left_coset_join(s, B, y)
-
-    result = {
+    CL = frozenset(xl[e] for e in C)
+    CR = frozenset(xr[e] for e in C)
+    sides = {
+        f"right-{kind}": (
+            direct_right, direct_full and green_R(s).same(x, y)
+        ),
+        f"left-{kind}": (direct_left, direct_full and green_L(s).same(x, y)),
+        "factor-full": (
+            same(full, sl, CL, xl[x], xl[y]) and same(full, sr, CR, xr[x], xr[y]),
+            direct_full,
+        ),
+        "factor-right": (
+            xl[x] == xl[y] and same(right, sr, CR, xr[x], xr[y]),
+            direct_right,
+        ),
+        "factor-left": (
+            xr[x] == xr[y] and same(left, sl, CL, xl[x], xl[y]),
+            direct_left,
+        ),
+    }
+    return {
         name: {"flat": lhs, "full_and_green": rhs, "agree": lhs == rhs}
-        for name, (lhs, rhs) in clauses.items()
+        for name, (lhs, rhs) in sides.items()
     }
-    result["factor-full"] = {
-        "flat": factor_full,
-        "full_and_green": direct_full,
-        "agree": factor_full == direct_full,
-    }
-    result["factor-right"] = {
-        "flat": factor_right,
-        "full_and_green": direct_right,
-        "agree": factor_right == direct_right,
-    }
-    result["factor-left"] = {
-        "flat": factor_left,
-        "full_and_green": direct_left,
-        "agree": factor_left == direct_left,
-    }
-    return result
 
 
 def coset_system_to_json(sys: CosetSystem):

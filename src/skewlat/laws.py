@@ -8,16 +8,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cosets import (
-    comparable_pairs,
-    flat_vs_full_correspondence,
-    full_coset_join,
-    full_coset_meet,
-    left_coset_join,
-    left_coset_meet,
-    right_coset_join,
-    right_coset_meet,
-)
+from .cosets import COSET_FLAVORS as _FAMILY_OPS
+from .cosets import comparable_pairs, flat_vs_full_correspondence
 from .core import SkewLattice
 from .decompose import skew_diamonds
 from .greens import green_L, green_R
@@ -67,93 +59,89 @@ def _aggregate(name, predicate_value, instances):
     return Record(instance=inst, lhs=predicate_value, rhs=holds)
 
 
+def _sides(upper, lower, kind):
+    """(C, X) for a flavor kind: meet cosets are taken of the upper class C
+    through elements x of the lower class X, join cosets the other way."""
+    return (upper, lower) if kind == "meet" else (lower, upper)
+
+
+def _coset_equivalences(s, diamonds, flavor):
+    """Per pair (x, x') of X: equal cosets of the far class C through x
+    and x' iff equal cosets of both incomparable classes A and B."""
+    fn, kind = _FAMILY_OPS[flavor]
+    for di, (Jc, A, B, Mc) in enumerate(diamonds):
+        C, X = _sides(Jc, Mc, kind)
+        for x, xp in product(sorted(X), repeat=2):
+            lhs = fn(s, C, x) == fn(s, C, xp)
+            rhs = fn(s, A, x) == fn(s, A, xp) and fn(s, B, x) == fn(s, B, xp)
+            yield (di, x, xp), lhs == rhs
+
+
+def _inclusions(s, diamonds, flavor):
+    """Per x in X: the cosets of A and B through x meet inside the coset
+    of the far class C through x."""
+    fn, kind = _FAMILY_OPS[flavor]
+    for di, (Jc, A, B, Mc) in enumerate(diamonds):
+        C, X = _sides(Jc, Mc, kind)
+        for x in sorted(X):
+            yield (di, x), (fn(s, A, x) & fn(s, B, x)) <= fn(s, C, x)
+
+
+def _intersections(s, diamonds, labelled):
+    """Per x in X: the coset of the far class C through x is the
+    intersection of those of A and B.  `labelled` holds (instance label,
+    flavor) pairs; on each diamond the meet flavors run over every element
+    of Mc before the join flavors run over Jc."""
+    for di, (Jc, A, B, Mc) in enumerate(diamonds):
+        for kind in ("meet", "join"):
+            C, X = _sides(Jc, Mc, kind)
+            for x in sorted(X):
+                for label, flavor in labelled:
+                    fn, fkind = _FAMILY_OPS[flavor]
+                    if fkind == kind:
+                        yield (di, label, x), fn(s, C, x) == (
+                            fn(s, A, x) & fn(s, B, x)
+                        )
+
+
 def check_symmetry_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
     """Symmetry against the full-coset intersection and coset-equality
     families over all skew diamonds."""
     diamonds = _oriented_diamonds(s)
-    records = []
-
-    def intersections():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for m in sorted(Mc):
-                yield (di, "meet", m), full_coset_meet(s, Jc, m) == (
-                    full_coset_meet(s, A, m) & full_coset_meet(s, B, m)
-                )
-            for j in sorted(Jc):
-                yield (di, "join", j), full_coset_join(s, Mc, j) == (
-                    full_coset_join(s, A, j) & full_coset_join(s, B, j)
-                )
-
-    def lower_inclusions():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for m in sorted(Mc):
-                yield (di, m), (
-                    full_coset_meet(s, A, m) & full_coset_meet(s, B, m)
-                ) <= full_coset_meet(s, Jc, m)
-
-    def upper_inclusions():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for j in sorted(Jc):
-                yield (di, j), (
-                    full_coset_join(s, A, j) & full_coset_join(s, B, j)
-                ) <= full_coset_join(s, Mc, j)
-
-    def lower_equivalences():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for m, mp in product(sorted(Mc), repeat=2):
-                lhs = full_coset_meet(s, Jc, m) == full_coset_meet(s, Jc, mp)
-                rhs = full_coset_meet(s, A, m) == full_coset_meet(
-                    s, A, mp
-                ) and full_coset_meet(s, B, m) == full_coset_meet(s, B, mp)
-                yield (di, m, mp), lhs == rhs
-
-    def upper_equivalences():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for j, jp in product(sorted(Jc), repeat=2):
-                lhs = full_coset_join(s, Mc, j) == full_coset_join(s, Mc, jp)
-                rhs = full_coset_join(s, A, j) == full_coset_join(
-                    s, A, jp
-                ) and full_coset_join(s, B, j) == full_coset_join(s, B, jp)
-                yield (di, j, jp), lhs == rhs
-
-    records.append(
-        _aggregate("symmetric-iff-intersections", is_symmetric(s)[0], intersections())
+    sym = is_symmetric(s)[0]
+    lower = is_lower_symmetric(s)[0]
+    upper = is_upper_symmetric(s)[0]
+    intersections = _intersections(
+        s, diamonds, (("meet", "full-meet"), ("join", "full-join"))
     )
-    records.append(
+    records = [
+        _aggregate("symmetric-iff-intersections", sym, intersections),
         _aggregate(
             "lower-symmetric-iff-meet-inclusion",
-            is_lower_symmetric(s)[0],
-            lower_inclusions(),
-        )
-    )
-    records.append(
+            lower,
+            _inclusions(s, diamonds, "full-meet"),
+        ),
         _aggregate(
             "upper-symmetric-iff-join-inclusion",
-            is_upper_symmetric(s)[0],
-            upper_inclusions(),
-        )
-    )
-    records.append(
+            upper,
+            _inclusions(s, diamonds, "full-join"),
+        ),
         _aggregate(
             "lower-symmetric-iff-meet-equivalences",
-            is_lower_symmetric(s)[0],
-            lower_equivalences(),
-        )
-    )
-    records.append(
+            lower,
+            _coset_equivalences(s, diamonds, "full-meet"),
+        ),
         _aggregate(
             "upper-symmetric-iff-join-equivalences",
-            is_upper_symmetric(s)[0],
-            upper_equivalences(),
-        )
-    )
-    records.append(
+            upper,
+            _coset_equivalences(s, diamonds, "full-join"),
+        ),
         Record(
             instance=("symmetric-iff-both-families",),
-            lhs=is_symmetric(s)[0],
-            rhs=is_lower_symmetric(s)[0] and is_upper_symmetric(s)[0],
-        )
-    )
+            lhs=sym,
+            rhs=lower and upper,
+        ),
+    ]
     return ConcordanceReport("symmetry-coset-laws", algebra, tuple(records))
 
 
@@ -164,98 +152,50 @@ def check_flat_symmetry_laws(
     symmetry identities, plus the intersection formulas on symmetric
     algebras."""
     diamonds = _oriented_diamonds(s)
-    records = []
+    records = [
+        _aggregate(
+            name,
+            check_identity(s, identity)[0],
+            _coset_equivalences(s, diamonds, flavor),
+        )
+        for name, identity, flavor in (
+            ("right-lower-symmetric-iff-clause-a", RIGHT_LOWER_SYMMETRIC, "right-meet"),
+            ("right-upper-symmetric-iff-clause-b", RIGHT_UPPER_SYMMETRIC, "right-join"),
+            ("left-lower-symmetric-iff-clause-c", LEFT_LOWER_SYMMETRIC, "left-meet"),
+            ("left-upper-symmetric-iff-clause-d", LEFT_UPPER_SYMMETRIC, "left-join"),
+        )
+    ]
     notes = []
-
-    def clause_a():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for m, mp in product(sorted(Mc), repeat=2):
-                lhs = right_coset_meet(s, Jc, m) == right_coset_meet(s, Jc, mp)
-                rhs = right_coset_meet(s, A, m) == right_coset_meet(
-                    s, A, mp
-                ) and right_coset_meet(s, B, m) == right_coset_meet(s, B, mp)
-                yield (di, m, mp), lhs == rhs
-
-    def clause_b():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for j, jp in product(sorted(Jc), repeat=2):
-                lhs = right_coset_join(s, Mc, j) == right_coset_join(s, Mc, jp)
-                rhs = right_coset_join(s, A, j) == right_coset_join(
-                    s, A, jp
-                ) and right_coset_join(s, B, j) == right_coset_join(s, B, jp)
-                yield (di, j, jp), lhs == rhs
-
-    def clause_c():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for m, mp in product(sorted(Mc), repeat=2):
-                lhs = left_coset_meet(s, Jc, m) == left_coset_meet(s, Jc, mp)
-                rhs = left_coset_meet(s, A, m) == left_coset_meet(
-                    s, A, mp
-                ) and left_coset_meet(s, B, m) == left_coset_meet(s, B, mp)
-                yield (di, m, mp), lhs == rhs
-
-    def clause_d():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for j, jp in product(sorted(Jc), repeat=2):
-                lhs = left_coset_join(s, Mc, j) == left_coset_join(s, Mc, jp)
-                rhs = left_coset_join(s, A, j) == left_coset_join(
-                    s, A, jp
-                ) and left_coset_join(s, B, j) == left_coset_join(s, B, jp)
-                yield (di, j, jp), lhs == rhs
-
-    records.append(
-        _aggregate(
-            "right-lower-symmetric-iff-clause-a",
-            check_identity(s, RIGHT_LOWER_SYMMETRIC)[0],
-            clause_a(),
-        )
-    )
-    records.append(
-        _aggregate(
-            "right-upper-symmetric-iff-clause-b",
-            check_identity(s, RIGHT_UPPER_SYMMETRIC)[0],
-            clause_b(),
-        )
-    )
-    records.append(
-        _aggregate(
-            "left-lower-symmetric-iff-clause-c",
-            check_identity(s, LEFT_LOWER_SYMMETRIC)[0],
-            clause_c(),
-        )
-    )
-    records.append(
-        _aggregate(
-            "left-upper-symmetric-iff-clause-d",
-            check_identity(s, LEFT_UPPER_SYMMETRIC)[0],
-            clause_d(),
-        )
-    )
-
     if is_symmetric(s)[0]:
-        def intersections():
-            for di, (Jc, A, B, Mc) in enumerate(diamonds):
-                for m in sorted(Mc):
-                    yield (di, "m-right", m), right_coset_meet(s, Jc, m) == (
-                        right_coset_meet(s, A, m) & right_coset_meet(s, B, m)
-                    )
-                    yield (di, "m-left", m), left_coset_meet(s, Jc, m) == (
-                        left_coset_meet(s, A, m) & left_coset_meet(s, B, m)
-                    )
-                for j in sorted(Jc):
-                    yield (di, "j-right", j), right_coset_join(s, Mc, j) == (
-                        right_coset_join(s, A, j) & right_coset_join(s, B, j)
-                    )
-                    yield (di, "j-left", j), left_coset_join(s, Mc, j) == (
-                        left_coset_join(s, A, j) & left_coset_join(s, B, j)
-                    )
-
-        records.append(_aggregate("symmetric-flat-intersections", True, intersections()))
+        intersections = _intersections(
+            s,
+            diamonds,
+            (
+                ("m-right", "right-meet"),
+                ("m-left", "left-meet"),
+                ("j-right", "right-join"),
+                ("j-left", "left-join"),
+            ),
+        )
+        records.append(
+            _aggregate("symmetric-flat-intersections", True, intersections)
+        )
     else:
         notes.append("not applicable: symmetric-flat-intersections (not symmetric)")
     return ConcordanceReport(
         "flat-symmetry-coset-laws", algebra, tuple(records), tuple(notes)
     )
+
+
+def _pair_equalities(s, pairs, flavor, rel=None):
+    """Per comparable pair and per (x, x') in X related by `rel` (every
+    pair when None): whether the cosets of C through x and x' coincide."""
+    fn, kind = _FAMILY_OPS[flavor]
+    for pi, pair in enumerate(pairs):
+        C, X = _sides(pair.upper, pair.lower, kind)
+        for x, xp in product(sorted(X), repeat=2):
+            if rel is None or rel.same(x, xp):
+                yield (pi, x, xp), fn(s, C, x) == fn(s, C, xp)
 
 
 def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
@@ -266,70 +206,25 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     records = []
     notes = []
 
-    def single_full_coset_meet():
-        for pi, pair in enumerate(pairs):
-            A = pair.upper
-            for x, xp in product(sorted(pair.lower), repeat=2):
-                yield (pi, x, xp), full_coset_meet(s, A, x) == full_coset_meet(
-                    s, A, xp
-                )
-
-    def single_full_coset_join():
-        for pi, pair in enumerate(pairs):
-            B = pair.lower
-            for x, xp in product(sorted(pair.upper), repeat=2):
-                yield (pi, x, xp), full_coset_join(s, B, x) == full_coset_join(
-                    s, B, xp
-                )
-
-    def impl_L_left():
-        # x L x' implies A ^ x = A ^ x'
-        for pi, pair in enumerate(pairs):
-            A = pair.upper
-            for x, xp in product(sorted(pair.lower), repeat=2):
-                if lrel.same(x, xp):
-                    yield (pi, x, xp), left_coset_meet(s, A, x) == left_coset_meet(
-                        s, A, xp
-                    )
-
-    def impl_R_right():
-        # x R x' implies x ^ A = x' ^ A
-        for pi, pair in enumerate(pairs):
-            A = pair.upper
-            for x, xp in product(sorted(pair.lower), repeat=2):
-                if rrel.same(x, xp):
-                    yield (pi, x, xp), right_coset_meet(
-                        s, A, x
-                    ) == right_coset_meet(s, A, xp)
-
-    def impl_R_join():
-        # x R x' implies B v x = B v x' (x, x' in the upper class)
-        for pi, pair in enumerate(pairs):
-            B = pair.lower
-            for x, xp in product(sorted(pair.upper), repeat=2):
-                if rrel.same(x, xp):
-                    yield (pi, x, xp), right_coset_join(
-                        s, B, x
-                    ) == right_coset_join(s, B, xp)
-
-    def impl_L_join():
-        # x L x' implies x v B = x' v B
-        for pi, pair in enumerate(pairs):
-            B = pair.lower
-            for x, xp in product(sorted(pair.upper), repeat=2):
-                if lrel.same(x, xp):
-                    yield (pi, x, xp), left_coset_join(s, B, x) == left_coset_join(
-                        s, B, xp
-                    )
-
     normal = is_normal(s)[0]
     conormal = is_conormal(s)[0]
-    records.append(_aggregate("normal-iff-single-full-coset", normal, single_full_coset_meet()))
     records.append(
-        _aggregate("conormal-iff-single-full-coset", conormal, single_full_coset_join())
+        _aggregate(
+            "normal-iff-single-full-coset",
+            normal,
+            _pair_equalities(s, pairs, "full-meet"),
+        )
     )
-    li, lw = _all(impl_L_left())
-    ri, rw = _all(impl_R_right())
+    records.append(
+        _aggregate(
+            "conormal-iff-single-full-coset",
+            conormal,
+            _pair_equalities(s, pairs, "full-join"),
+        )
+    )
+    # x L x' implies A ^ x = A ^ x'; x R x' implies x ^ A = x' ^ A
+    li, lw = _all(_pair_equalities(s, pairs, "left-meet", lrel))
+    ri, rw = _all(_pair_equalities(s, pairs, "right-meet", rrel))
     records.append(
         Record(
             instance=("normal-iff-flat-implications",) + tuple(lw or rw or ()),
@@ -337,8 +232,10 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
             rhs=li and ri,
         )
     )
-    ji, _ = _all(impl_R_join())
-    jj, _ = _all(impl_L_join())
+    # (x, x' in the upper class) x R x' implies B v x = B v x';
+    # x L x' implies x v B = x' v B
+    ji, _ = _all(_pair_equalities(s, pairs, "right-join", rrel))
+    jj, _ = _all(_pair_equalities(s, pairs, "left-join", lrel))
     records.append(
         Record(instance=("conormal-iff-flat-implications",), lhs=conormal, rhs=ji and jj)
     )
@@ -371,36 +268,30 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     # which fails already at order 2.)
     mt = s.meet.entries
 
-    def rqn_ideal():
-        for y in range(s.n):
-            ideal = {mt[y][z] for z in range(s.n)}
+    def ideal_classes_trivial(ideals, rel):
+        # ideals[y] lists the principal ideal of y, repeats allowed
+        for y, ideal in enumerate(map(set, ideals)):
             for x in sorted(ideal):
-                cls = {z for z in ideal if lrel.same(x, z)}
-                yield (y, x), cls == {x}
+                yield (y, x), {z for z in ideal if rel.same(x, z)} == {x}
 
-    def lqn_ideal():
-        for y in range(s.n):
-            ideal = {mt[z][y] for z in range(s.n)}
-            for x in sorted(ideal):
-                cls = {z for z in ideal if rrel.same(x, z)}
-                yield (y, x), cls == {x}
-
-    records.append(_aggregate("right-quasi-normal-iff-ideal-L-trivial", rqn, rqn_ideal()))
-    records.append(_aggregate("left-quasi-normal-iff-ideal-R-trivial", lqn, lqn_ideal()))
+    records.append(
+        _aggregate(
+            "right-quasi-normal-iff-ideal-L-trivial",
+            rqn,
+            ideal_classes_trivial(mt, lrel),  # rows: y ^ S
+        )
+    )
+    records.append(
+        _aggregate(
+            "left-quasi-normal-iff-ideal-R-trivial",
+            lqn,
+            ideal_classes_trivial(zip(*mt), rrel),  # columns: S ^ y
+        )
+    )
     records.append(
         Record(instance=("normal-iff-both-quasi-normal",), lhs=normal, rhs=lqn and rqn)
     )
     return ConcordanceReport("normality-coset-laws", algebra, tuple(records), tuple(notes))
-
-
-_FAMILY_OPS = {
-    "full-join": (full_coset_join, "join"),
-    "right-join": (right_coset_join, "join"),
-    "left-join": (left_coset_join, "join"),
-    "full-meet": (full_coset_meet, "meet"),
-    "right-meet": (right_coset_meet, "meet"),
-    "left-meet": (left_coset_meet, "meet"),
-}
 
 
 def _diamond_family(s, diamond, flavor):
@@ -409,9 +300,9 @@ def _diamond_family(s, diamond, flavor):
     for every pair of the designated incomparable class."""
     fn, kind = _FAMILY_OPS[flavor]
     Jc, A, B, Mc = diamond
-    far = Mc if kind == "join" else Jc
+    C, _ = _sides(Jc, Mc, kind)
     for x, xp in product(sorted(A), repeat=2):
-        if (fn(s, far, x) == fn(s, far, xp)) != (fn(s, B, x) == fn(s, B, xp)):
+        if (fn(s, C, x) == fn(s, C, xp)) != (fn(s, B, x) == fn(s, B, xp)):
             return False
     return True
 
@@ -429,10 +320,9 @@ def check_cancellation_laws(
     def unconditional():
         for di, (Jc, A, B, Mc) in enumerate(diamonds):
             for x, xp in product(sorted(A), repeat=2):
-                for flavor in _FAMILY_OPS:
-                    fn, kind = _FAMILY_OPS[flavor]
-                    far = Mc if kind == "join" else Jc
-                    if fn(s, far, x) == fn(s, far, xp):
+                for flavor, (fn, kind) in _FAMILY_OPS.items():
+                    C, _ = _sides(Jc, Mc, kind)
+                    if fn(s, C, x) == fn(s, C, xp):
                         yield (di, flavor, x, xp), fn(s, B, x) == fn(s, B, xp)
 
     holds, witness = _all(unconditional())
@@ -499,14 +389,11 @@ def check_cancellation_laws(
         # conjunction of its two flat families
         def full_vs_flat():
             for di, d in enumerate(diamonds):
-                yield (di, "join"), _diamond_family(s, d, "full-join") == (
-                    _diamond_family(s, d, "right-join")
-                    and _diamond_family(s, d, "left-join")
-                )
-                yield (di, "meet"), _diamond_family(s, d, "full-meet") == (
-                    _diamond_family(s, d, "right-meet")
-                    and _diamond_family(s, d, "left-meet")
-                )
+                for kind in ("join", "meet"):
+                    yield (di, kind), _diamond_family(s, d, f"full-{kind}") == (
+                        _diamond_family(s, d, f"right-{kind}")
+                        and _diamond_family(s, d, f"left-{kind}")
+                    )
 
         records.append(_aggregate("full-family-iff-flat-families", True, full_vs_flat()))
     else:

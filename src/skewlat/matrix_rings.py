@@ -9,6 +9,7 @@ criteria checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import SkewLattice, validate
 from .errors import (
@@ -51,13 +52,20 @@ class PrimeField:
             raise NotAPrimeField(f"modulus {self.p} exceeds cap {DEFAULT_MODULUS_CAP}")
 
 
+@lru_cache(maxsize=None)
+def _field(p: int) -> PrimeField:
+    """PrimeField(p), validated once per modulus; a rejected modulus is
+    not cached, so it raises NotAPrimeField every time."""
+    return PrimeField(p)
+
+
 @dataclass(frozen=True)
 class PrimeFieldMatrix:
     p: int
     entries: tuple  # tuple of row tuples, residues mod p
 
     def __post_init__(self):
-        PrimeField(self.p)
+        _field(self.p)
         n = len(self.entries)
         rows = tuple(tuple(v % self.p for v in row) for row in self.entries)
         for row in rows:
@@ -175,28 +183,40 @@ def closure(
         if not g.is_idempotent():
             raise NotIdempotent(f"generator {i} is not idempotent")
     elems = []
-    seen = set()
+    index = {}
+
+    def index_of(m):
+        i = index.get(m)
+        if i is None:
+            i = index[m] = len(elems)
+            elems.append(m)
+        return i
+
     for g in gens:
-        if g not in seen:
-            seen.add(g)
-            elems.append(g)
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in elems:
-                for z in (x @ y, y @ x, nabla(x, y), nabla(y, x)):
-                    if z not in seen:
-                        seen.add(z)
-                        new.append(z)
-        elems.extend(new)
+        index_of(g)
+    # Breadth-first: each round pairs the elements found in the previous
+    # round (lo..hi) with every element known at its start (0..hi), in both
+    # orders, so each product is formed in the round where the later of its
+    # factors is new.  Its index is recorded then; the tables need no
+    # second pass.
+    meet, join = {}, {}
+    lo = 0
+    while lo < len(elems):
+        hi = len(elems)
+        for i in range(lo, hi):
+            x = elems[i]
+            for j in range(hi):
+                y = elems[j]
+                meet[i, j] = index_of(x @ y)
+                meet[j, i] = index_of(y @ x)
+                join[i, j] = index_of(nabla(x, y))
+                join[j, i] = index_of(nabla(y, x))
         if len(elems) > cap:
             raise ClosureExceedsCap(f"closure exceeds {cap} elements")
-        frontier = new
-    idx = {m: i for i, m in enumerate(elems)}
+        lo = hi
     n = len(elems)
-    meet = [[idx[elems[i] @ elems[j]] for j in range(n)] for i in range(n)]
-    join = [[idx[nabla(elems[i], elems[j])] for j in range(n)] for i in range(n)]
+    meet = [[meet[i, j] for j in range(n)] for i in range(n)]
+    join = [[join[i, j] for j in range(n)] for i in range(n)]
     report = validate(meet, join)
     if not report.valid:
         raise NotASkewLattice(report)
@@ -298,6 +318,28 @@ def _check_primitive(msl: MatrixSkewLattice):
     return frozenset(bits(upper_block)), frozenset(bits(lower_block))
 
 
+def _primitive(p, block_dims, a_params, b_params, handed):
+    """Closure of the two diagonal idempotents and the `handed` upper and
+    lower block forms of each parameter pair, verified primitive and
+    `handed`."""
+    from .varieties import is_left_handed, is_right_handed
+
+    upper, lower, is_handed = {
+        "right": (upper_class_matrix, lower_class_matrix, is_right_handed),
+        "left": (upper_class_matrix_left, lower_class_matrix_left, is_left_handed),
+    }[handed]
+    gens = [upper(p, block_dims), lower(p, block_dims)]
+    gens += [upper(p, block_dims, u, v) for u, v in a_params]
+    gens += [lower(p, block_dims, u, v) for u, v in b_params]
+    msl = closure(
+        gens, origin=f"primitive-{handed}-handed GF({p}) {tuple(block_dims)}"
+    )
+    _check_primitive(msl)
+    if not is_handed(msl.abstract)[0]:
+        raise InternalInconsistency(f"constructed algebra is not {handed}-handed")
+    return msl
+
+
 def primitive_right_handed(
     p: int, block_dims, a_params, b_params
 ) -> MatrixSkewLattice:
@@ -305,22 +347,13 @@ def primitive_right_handed(
     an (a13, a23) pair, each b-param a (b12, b13) pair; the diagonal
     idempotents a0, b0 are always included.  Verified primitive (two
     comparable classes) and right-handed."""
-    gens = [upper_class_matrix(p, block_dims), lower_class_matrix(p, block_dims)]
-    for a13, a23 in a_params:
-        gens.append(upper_class_matrix(p, block_dims, a13, a23))
-    for b12, b13 in b_params:
-        gens.append(lower_class_matrix(p, block_dims, b12, b13))
-    msl = closure(gens, origin=f"primitive-right-handed GF({p}) {tuple(block_dims)}")
-    _check_primitive(msl)
-    from .varieties import is_right_handed
-
-    ok, _ = is_right_handed(msl.abstract)
-    if not ok:
-        raise InternalInconsistency("constructed algebra is not right-handed")
-    # in the right-handed case nabla reduces to circle
-    for x in msl.elements:
-        for y in msl.elements:
-            if nabla(x, y) != circle(x, y):
+    msl = _primitive(p, block_dims, a_params, b_params, "right")
+    # in the right-handed case nabla reduces to circle; the join table
+    # already holds the index of every nabla(x, y)
+    elems, join = msl.elements, msl.abstract.join.entries
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if elems[join[i][j]] != circle(x, y):
                 raise InternalInconsistency("nabla differs from circle")
     return msl
 
@@ -330,22 +363,7 @@ def primitive_left_handed(
 ) -> MatrixSkewLattice:
     """Mirror of the right-handed constructor: a-params are (a31, a32)
     pairs, b-params are (b21, b31) pairs."""
-    gens = [
-        upper_class_matrix_left(p, block_dims),
-        lower_class_matrix_left(p, block_dims),
-    ]
-    for a31, a32 in a_params:
-        gens.append(upper_class_matrix_left(p, block_dims, a31, a32))
-    for b21, b31 in b_params:
-        gens.append(lower_class_matrix_left(p, block_dims, b21, b31))
-    msl = closure(gens, origin=f"primitive-left-handed GF({p}) {tuple(block_dims)}")
-    _check_primitive(msl)
-    from .varieties import is_left_handed
-
-    ok, _ = is_left_handed(msl.abstract)
-    if not ok:
-        raise InternalInconsistency("constructed algebra is not left-handed")
-    return msl
+    return _primitive(p, block_dims, a_params, b_params, "left")
 
 
 # --- triangular factorization --------------------------------------------

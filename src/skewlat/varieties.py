@@ -199,23 +199,24 @@ def is_left_handed(s):
     return _handed(s, green_L(s))
 
 
-def is_upper_symmetric(s):
-    """x^y = y^x implies xvy = yvx, checked over all pairs."""
-    mt, jt = s.meet.entries, s.join.entries
-    for a in range(s.n):
-        for b in range(s.n):
-            if mt[a][b] == mt[b][a] and jt[a][b] != jt[b][a]:
+def _commutation_implies(t, u):
+    """Every pair that commutes in table t commutes in table u; the
+    witness is the least pair (a, b) that does not."""
+    for a in range(len(t)):
+        for b in range(len(t)):
+            if t[a][b] == t[b][a] and u[a][b] != u[b][a]:
                 return False, (a, b)
     return True, None
+
+
+def is_upper_symmetric(s):
+    """x^y = y^x implies xvy = yvx, checked over all pairs."""
+    return _commutation_implies(s.meet.entries, s.join.entries)
 
 
 def is_lower_symmetric(s):
-    mt, jt = s.meet.entries, s.join.entries
-    for a in range(s.n):
-        for b in range(s.n):
-            if jt[a][b] == jt[b][a] and mt[a][b] != mt[b][a]:
-                return False, (a, b)
-    return True, None
+    """xvy = yvx implies x^y = y^x, checked over all pairs."""
+    return _commutation_implies(s.join.entries, s.meet.entries)
 
 
 def is_symmetric(s):
@@ -390,56 +391,56 @@ def classify(s: SkewLattice, names=None) -> ClassificationReport:
 
 # --- centers and commutation ----------------------------------------------
 
-def _check_right_central_equivalents(s, a, expected):
-    """Each of the characterizations (ii)-(v) alone must agree with
-    triviality of the R-class of a."""
+def _one_sided_center(s, rel, side, first, characterizations):
+    """Elements with a singleton `rel`-class.  Each characterization
+    (a, b) -> bool, quantified over every b, must agree with that; the
+    i-th one is reported as number `first + i` when it does not."""
     rng = range(s.n)
-    characterizations = (
-        all(s.j(b, a) == s.j(a, b, a) for b in rng),
-        all(s.j(a, b) == s.j(b, a, b) for b in rng),
-        all(s.m(a, b) == s.m(a, b, a) for b in rng),
-        all(s.m(b, a) == s.m(b, a, b) for b in rng),
-    )
-    for i, holds in enumerate(characterizations):
-        if holds != expected:
-            raise InternalInconsistency(
-                f"right-center characterization {i + 2} disagrees at a={a}"
-            )
+    out = set()
+    for a in rng:
+        central = rel.block_mask_of(a).bit_count() == 1
+        for i, law in enumerate(characterizations):
+            if all(law(a, b) for b in rng) != central:
+                raise InternalInconsistency(
+                    f"{side}-center characterization {i + first} disagrees at a={a}"
+                )
+        if central:
+            out.add(a)
+    return frozenset(out)
 
 
 def right_center(s: SkewLattice) -> frozenset:
     """Elements with a singleton R-class; the characterizations (ii)-(v)
     of right-centrality are verified along the way."""
-    r = green_R(s)
-    out = set()
-    for a in range(s.n):
-        central = r.block_mask_of(a).bit_count() == 1
-        _check_right_central_equivalents(s, a, central)
-        if central:
-            out.add(a)
-    return frozenset(out)
+    return _one_sided_center(
+        s,
+        green_R(s),
+        "right",
+        2,
+        (
+            lambda a, b: s.j(b, a) == s.j(a, b, a),
+            lambda a, b: s.j(a, b) == s.j(b, a, b),
+            lambda a, b: s.m(a, b) == s.m(a, b, a),
+            lambda a, b: s.m(b, a) == s.m(b, a, b),
+        ),
+    )
 
 
 def left_center(s: SkewLattice) -> frozenset:
-    l = green_L(s)
-    out = set()
-    for a in range(s.n):
-        central = l.block_mask_of(a).bit_count() == 1
-        rng = range(s.n)
-        characterizations = (
-            all(s.j(a, b) == s.j(a, b, a) for b in rng),
-            all(s.j(b, a) == s.j(b, a, b) for b in rng),
-            all(s.m(a, b) == s.m(b, a, b) for b in rng),
-            all(s.m(b, a) == s.m(a, b, a) for b in rng),
-        )
-        for i, holds in enumerate(characterizations):
-            if holds != central:
-                raise InternalInconsistency(
-                    f"left-center characterization {i + 7} disagrees at a={a}"
-                )
-        if central:
-            out.add(a)
-    return frozenset(out)
+    """Elements with a singleton L-class; the characterizations (vii)-(x)
+    of left-centrality are verified along the way."""
+    return _one_sided_center(
+        s,
+        green_L(s),
+        "left",
+        7,
+        (
+            lambda a, b: s.j(a, b) == s.j(a, b, a),
+            lambda a, b: s.j(b, a) == s.j(b, a, b),
+            lambda a, b: s.m(a, b) == s.m(b, a, b),
+            lambda a, b: s.m(b, a) == s.m(a, b, a),
+        ),
+    )
 
 
 def center(s: SkewLattice) -> frozenset:

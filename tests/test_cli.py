@@ -225,3 +225,17 @@ def test_malformed_input_exit_2(capsys, tmp_path, algebra, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_order_above_cap_exits_before_searching(capsys, monkeypatch):
+    import skewlat.catalog
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the catalog search ran before the cap check")
+
+    monkeypatch.delenv("SKEWLAT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(skewlat.catalog, "enumerate_catalog", no_search)
+    code, out, err = run(capsys, "verify", "--order", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: pruned search capped at order 6\n"

@@ -130,3 +130,43 @@ def test_single_factor_flat_law_fails_on_nc5(nc5_right, nc5_left):
         }
         # no single flat family is equivalent to the single identity
         assert not any(families[f] == single for f in families if single)
+
+
+def _law_corpus(catalogs, nc5_right, nc5_left):
+    from skewlat.core import direct_product
+
+    named = [
+        (f"order{n}-{i}", s)
+        for n, cat in sorted(catalogs.items())
+        for i, s in enumerate(cat.algebras)
+    ]
+    named += [("nc5-right", nc5_right), ("nc5-left", nc5_left)]
+    named += [
+        (f"order3-{i}x{j}", direct_product(a, b))
+        for i, a in enumerate(catalogs[3].algebras)
+        for j, b in enumerate(catalogs[2].algebras)
+    ]
+    return named
+
+
+# sha256 of every record, witness and note of the five law families over
+# the order <= 4 catalog, nc5 both ways and the order-3 x order-2 products;
+# a change to the law harness must not move a single instance tuple
+LAW_REPORTS_SHA256 = (
+    "3c9d2429bd8c88042c3f9621e7a84e9d1b73091db538c974588afcdb1ac0154b"
+)
+
+
+def test_law_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
+    import hashlib
+    import json
+
+    docs = []
+    for name, s in _law_corpus(catalogs, nc5_right, nc5_left):
+        for law in sorted(ALL_LAW_CHECKS):
+            rep = ALL_LAW_CHECKS[law](s, name)
+            doc = rep.to_json_dict()
+            doc["records"] = [[list(r.instance), r.lhs, r.rhs] for r in rep.records]
+            docs.append(doc)
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LAW_REPORTS_SHA256

@@ -142,3 +142,25 @@ def test_meet_of_standard_forms_stays_in_class(a13, a23, x13, x23):
     # the product of two upper-class forms is again an upper-class form
     assert prod_.entries[2] == (0, 0, 0)
     assert prod_.entries[0][0] == 1 and prod_.entries[1][1] == 1
+
+
+@pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
+def test_closure_tables_index_the_products(build):
+    # reference: recompute every product directly (the closure records
+    # them during its search instead)
+    msl = build(3, DIMS, _scalar_pairs(3), _scalar_pairs(3))
+    elems = msl.elements
+    idx = {m: i for i, m in enumerate(elems)}
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            assert msl.abstract.meet[i][j] == idx[x @ y]
+            assert msl.abstract.join[i][j] == idx[nabla(x, y)]
+
+
+@pytest.mark.parametrize("p", [4, 2, 101])
+def test_matrix_rejects_bad_modulus_every_time(p):
+    for _ in range(2):
+        with pytest.raises(NotAPrimeField):
+            PrimeFieldMatrix(p, ((1,),))
+        with pytest.raises(NotAPrimeField):
+            PrimeFieldMatrix.identity(p, 2)

@@ -142,3 +142,10 @@ def test_rectangular_product_predicates(l, r):
     s = rectangular(l, r)
     assert is_rectangular(s)[0]
     assert is_symmetric(s)[0] or (l > 1 and r > 1)
+
+
+def test_left_center_is_right_center_of_mirror(catalogs, nc5_right, nc5_left):
+    algebras = [s for cat in catalogs.values() for s in cat.algebras]
+    for s in algebras + [nc5_right, nc5_left]:
+        assert left_center(s) == right_center(mirror(s))
+        assert right_center(s) == left_center(mirror(s))
