@@ -1,15 +1,11 @@
-"""Pure-Python kernels for the hot loops.
-
-Same API and identical output as the compiled extension `_kernels_c`;
-`skewlat.kernels` picks whichever is available at import time.  Tables are
-flat tuples of length n*n, row-major.
+"""Pure-Python kernels for the hot loops, re-exported by `skewlat.kernels`.
+Tables are flat tuples of length n*n, row-major.
 
 The search fills the meet table cell by cell, then completes the join table
 from the absorption pins, filtering candidates by the two meet-absorption
-laws.  Unlike the compiled twin, which rescans every triple after each
-assignment, this path re-checks associativity only on the triples that read
-the cell just assigned, and `canonical_pair` abandons a relabeling at the
-first row that exceeds the best key so far.
+laws.  Associativity is re-checked only on the triples that read the cell
+just assigned, and `canonical_pair` abandons a relabeling at the first row
+that exceeds the best key so far.
 """
 
 from itertools import permutations

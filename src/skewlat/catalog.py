@@ -10,8 +10,15 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 
-from .core import SkewLattice, validate
-from .errors import InconsistentCosetData, OrderTooLarge
+from .core import (
+    SkewLattice,
+    load_algebra,
+    read_json,
+    require_valid,
+    to_json_dict,
+    validate,
+)
+from .errors import InconsistentCosetData, MalformedInput, OrderTooLarge
 from .greens import green_D, green_L, green_R
 from .kernels import canonical_pair, join_completions, meet_tables
 
@@ -280,7 +287,6 @@ def primitive_from_coset_data(d: CosetData) -> SkewLattice:
 def save_catalog(cat: Catalog, directory: str):
     """Write one JSON file per algebra plus an index with counts and
     classification fingerprints."""
-    from .core import to_json_dict
     from .varieties import classify
 
     os.makedirs(directory, exist_ok=True)
@@ -302,16 +308,17 @@ def save_catalog(cat: Catalog, directory: str):
 
 
 def load_catalog(directory: str) -> Catalog:
-    from .core import from_json_dict
-
-    with open(os.path.join(directory, "index.json")) as f:
-        index = json.load(f)
-    algebras = []
-    for entry in index["algebras"]:
-        with open(os.path.join(directory, entry["file"])) as f:
-            algebras.append(from_json_dict(json.load(f))[0])
-    return Catalog(
-        order=index["order"],
-        algebras=tuple(algebras),
-        provenance=index["provenance"],
-    )
+    """The catalog saved in `directory`, each algebra re-validated.  Raises
+    MalformedInput when a file is missing, unreadable or not in the saved
+    format, and SkewLatticeError when an algebra violates an axiom."""
+    index_path = os.path.join(directory, "index.json")
+    index = read_json(index_path)
+    try:
+        order, provenance = index["order"], index["provenance"]
+        paths = [os.path.join(directory, e["file"]) for e in index["algebras"]]
+    except (KeyError, TypeError) as e:
+        raise MalformedInput(
+            f"{index_path} does not match the catalog format: {e}"
+        ) from None
+    algebras = tuple(require_valid(load_algebra(p)[0], p) for p in paths)
+    return Catalog(order=order, algebras=algebras, provenance=provenance)

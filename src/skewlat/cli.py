@@ -17,6 +17,7 @@ from . import catalog as _catalog
 from . import core, cosets, decompose, greens, laws, matrix_rings, varieties
 from .errors import (
     InternalInconsistency,
+    MalformedInput,
     NotAPrimeField,
     OrderTooLarge,
     SkewLatticeError,
@@ -54,30 +55,13 @@ def _info(msg):
     print(msg, file=sys.stderr)
 
 
-def _load_algebra(path):
-    try:
-        with open(path) as f:
-            d = json.load(f)
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"{path} is not valid JSON: {e}")
-    try:
-        return core.from_json_dict(d)
-    except (KeyError, TypeError, SkewLatticeError) as e:
-        raise UsageError(f"{path} does not match the algebra format: {e}")
-
-
 def _validated(path):
-    s, names = _load_algebra(path)
-    rep = core.validate(s.meet.entries, s.join.entries)
-    if not rep.valid:
-        raise SkewLatticeError(f"{path}: not a skew lattice: {rep.failures[0]}")
-    return s, names
+    s, names = core.load_algebra(path)
+    return core.require_valid(s, path), names
 
 
 def cmd_validate(args):
-    s, _ = _load_algebra(args.file)
+    s, _ = core.load_algebra(args.file)
     rep = core.validate(s.meet.entries, s.join.entries)
     _emit(rep.to_dict())
     _info(f"{args.file}: {'valid' if rep.valid else 'invalid'}")
@@ -402,8 +386,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    # a non-prime --p or an --order above the method's cap is a usage error
-    except (UsageError, NotAPrimeField, OrderTooLarge) as e:
+    # an unreadable or malformed input file, a non-prime --p or an --order
+    # above the method's cap is a usage error
+    except (UsageError, MalformedInput, NotAPrimeField, OrderTooLarge) as e:
         _info(f"error: {e}")
         return EXIT_USAGE
     except InternalInconsistency as e:

@@ -16,7 +16,9 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     EntryOutOfRange,
+    MalformedInput,
     NotASkewLattice,
+    SkewLatticeError,
 )
 
 # Default cap keeps every element subset inside one machine word.
@@ -102,9 +104,10 @@ class SkewLattice:
 
 
 def _cached(fn):
-    """Compute ``fn(s)`` once per frozen :class:`SkewLattice` instance and
-    keep it in the instance's ``__dict__``.  The value is shared by every
-    caller, so it must be immutable; it is not part of ``==`` or ``hash``."""
+    """Compute ``fn(s)`` once per instance of a frozen dataclass (a
+    :class:`SkewLattice`, a ``PrimeFieldMatrix``) and keep it in the
+    instance's ``__dict__``.  The value is shared by every caller, so it
+    must be immutable; it is not part of ``==`` or ``hash``."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
@@ -206,6 +209,15 @@ def validate(meet, join) -> ValidationReport:
     report.meet_regular = regular(mt)
     report.join_regular = regular(jt)
     return report
+
+
+def require_valid(s: SkewLattice, label: str) -> SkewLattice:
+    """s itself if it satisfies every axiom; otherwise SkewLatticeError
+    naming `label` and the first violated axiom."""
+    rep = validate(s.meet.entries, s.join.entries)
+    if not rep.valid:
+        raise SkewLatticeError(f"{label}: not a skew lattice: {rep.failures[0]}")
+    return s
 
 
 def rectangular(l: int, r: int) -> SkewLattice:
@@ -315,3 +327,28 @@ def from_json_dict(d):
 def from_json(text: str):
     """Parse the JSON algebra format; returns (algebra, names-or-None)."""
     return from_json_dict(json.loads(text))
+
+
+def read_json(path):
+    """The JSON value in file `path`; MalformedInput if it cannot be read
+    or parsed."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise MalformedInput(f"cannot read {path}: {e}") from None
+    except ValueError as e:
+        raise MalformedInput(f"{path} is not valid JSON: {e}") from None
+
+
+def load_algebra(path):
+    """(algebra, names-or-None) from the JSON algebra file `path`;
+    MalformedInput if it is not in that format.  The axioms are not
+    checked here (see require_valid)."""
+    d = read_json(path)
+    try:
+        return from_json_dict(d)
+    except (KeyError, TypeError, SkewLatticeError) as e:
+        raise MalformedInput(
+            f"{path} does not match the algebra format: {e}"
+        ) from None

@@ -54,6 +54,11 @@ class OrderTooLarge(SkewLatticeError):
     pass
 
 
+class MalformedInput(SkewLatticeError):
+    """An input file (an algebra, a saved catalog) that is missing,
+    unreadable or not in the expected format."""
+
+
 class NotASkewLattice(SkewLatticeError):
     def __init__(self, report):
         self.report = report

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import SkewLattice, validate
+from .core import SkewLattice, _cached, validate
 from .errors import (
     ClosureExceedsCap,
     DimensionMismatch,
@@ -123,6 +123,7 @@ class PrimeFieldMatrix:
             ),
         )
 
+    @_cached
     def is_idempotent(self) -> bool:
         return self @ self == self
 

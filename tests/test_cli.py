@@ -51,6 +51,14 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_undecodable_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert "not valid JSON" in err and err.count("\n") == 1
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "validate", "/nonexistent/x.json")
     assert code == 2
@@ -179,6 +187,16 @@ _BOOLEAN = {"n": 2, "meet": [[0, 0], [0, True]], "join": [[0, 1], [1, True]]}
 _CHAIN2 = {"n": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]]}
 _SHORT_NAMES = dict(_CHAIN2, names=["a"])
 _NON_STRING_NAMES = dict(_CHAIN2, names=["a", 3])
+_INDEX_WITHOUT_ALGEBRAS = {"order": 2, "provenance": "pruned-search"}
+
+
+def _write_catalog(directory, index, files=()):
+    """A saved catalog in `directory`: `index` as index.json plus each
+    (name, algebra) in `files`."""
+    for name, algebra in files:
+        (directory / name).write_text(json.dumps(algebra))
+    (directory / "index.json").write_text(json.dumps(index))
+    return str(directory)
 
 
 @pytest.mark.parametrize(
@@ -214,10 +232,22 @@ _NON_STRING_NAMES = dict(_CHAIN2, names=["a", 3])
             ["enumerate", "--order", "5", "--oracle"],
             id="oracle-order-above-cap",
         ),
+        pytest.param(
+            None,
+            ["verify", "--catalog", "/nonexistent/catalog"],
+            id="catalog-missing-directory",
+        ),
+        pytest.param(
+            _INDEX_WITHOUT_ALGEBRAS,
+            ["verify", "--catalog"],
+            id="catalog-index-without-algebras",
+        ),
     ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, algebra, argv):
-    if algebra is not None:
+    if argv[-1] == "--catalog":
+        argv = argv + [_write_catalog(tmp_path, algebra)]
+    elif algebra is not None:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(algebra))
         argv = argv + [str(path)]
@@ -225,6 +255,19 @@ def test_malformed_input_exit_2(capsys, tmp_path, algebra, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_catalog_with_invalid_algebra_exit_1(capsys, tmp_path):
+    # idempotent meet and join, but the absorption laws fail; verify FILE
+    # rejects the same table, so the catalog must not reach the law harness
+    bad = {"n": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 0], [0, 1]]}
+    index = dict(_INDEX_WITHOUT_ALGEBRAS, algebras=[{"file": "a.json"}])
+    directory = _write_catalog(tmp_path, index, [("a.json", bad)])
+    code, out, err = run(capsys, "verify", "--catalog", directory)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a skew lattice" in err
 
 
 def test_verify_order_above_cap_exits_before_searching(capsys, monkeypatch):

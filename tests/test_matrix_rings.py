@@ -64,6 +64,23 @@ def test_standard_forms_are_idempotent():
             assert lower_class_matrix(p, DIMS, ((x,),), ((y,),)).is_idempotent()
 
 
+@pytest.mark.parametrize("idempotent", [True, False])
+def test_is_idempotent_multiplies_once_per_instance(monkeypatch, idempotent):
+    calls = []
+    matmul = PrimeFieldMatrix.__matmul__
+
+    def counting_matmul(x, y):
+        calls.append((x, y))
+        return matmul(x, y)
+
+    monkeypatch.setattr(PrimeFieldMatrix, "__matmul__", counting_matmul)
+    m = PrimeFieldMatrix(3, ((1, 0), (0, 0)) if idempotent else ((1, 1), (1, 1)))
+    assert m.is_idempotent() is idempotent
+    assert len(calls) == 1
+    assert m.is_idempotent() is idempotent
+    assert len(calls) == 1
+
+
 def test_closure_rejects_non_idempotent():
     bad = PrimeFieldMatrix(3, ((1, 1), (1, 1)))
     with pytest.raises(NotIdempotent):
