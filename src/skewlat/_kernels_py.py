@@ -1,11 +1,13 @@
 """Pure-Python kernels for the hot loops, re-exported by `skewlat.kernels`.
 Tables are flat tuples of length n*n, row-major.
 
-The search fills the meet table cell by cell, then completes the join table
-from the absorption pins, filtering candidates by the two meet-absorption
-laws.  Associativity is re-checked only on the triples that read the cell
-just assigned, and `canonical_pair` abandons a relabeling at the first row
-that exceeds the best key so far.
+The search fills the meet table cell by cell, keeping only the D-ordered
+labellings of each band (labels rise along the D-order and each D-class is
+a contiguous label range, see `meet_tables`), then completes the join
+table from the absorption pins, filtering candidates by the two
+meet-absorption laws.  Associativity and the D-order are re-checked only
+on what the cell just assigned can decide, and `canonical_pair` abandons a
+relabeling at the first row that exceeds the best key so far.
 """
 
 from itertools import permutations
@@ -71,6 +73,52 @@ def _assoc_ok_at(t, n, pos):
     return True
 
 
+def _d_ordered_pair(t, n, x, y):
+    """False when the larger of the labels x, y is strictly D-below the
+    smaller, read off t through z <=_D w iff z.w.z = z; True while x.y.x or
+    y.x.y is unknown (-1)."""
+    xy, yx = t[x * n + y], t[y * n + x]
+    if xy < 0 or yx < 0:
+        return True
+    xyx, yxy = t[xy * n + x], t[yx * n + y]
+    if xyx < 0 or yxy < 0:
+        return True
+    if x > y:
+        return xyx != x or yxy == y
+    return yxy != y or xyx == x
+
+
+def _d_ordered_at(t, n, pos):
+    """Condition (A) of `meet_tables` on every pair that assigning cell
+    `pos` = (i, j) can have made decidable.  The pair {x, y} reads the
+    cells (x, y), (y, x), (x.y, x) and (y.x, y); (i, j) is one of them only
+    for {i, j} itself and for {j, y} with j.y = i."""
+    i, j = divmod(pos, n)
+    if not _d_ordered_pair(t, n, i, j):
+        return False
+    rj = j * n
+    for y in range(n):
+        if t[rj + y] == i and not _d_ordered_pair(t, n, j, y):
+            return False
+    return True
+
+
+def _d_contiguous(t, n):
+    """Condition (B) of `meet_tables` on a full band: each D-class is a
+    contiguous label range.  A class is contiguous iff for x < y in it,
+    y - 1 is in it as well."""
+
+    def d(x, y):
+        return t[t[x * n + y] * n + x] == x and t[t[y * n + x] * n + y] == y
+
+    for y in range(2, n):
+        if not d(y - 1, y):
+            for x in range(y - 1):
+                if d(x, y):
+                    return False
+    return True
+
+
 def _is_regular(t, n):
     for x in range(n):
         for y in range(n):
@@ -83,10 +131,27 @@ def _is_regular(t, n):
 
 
 def meet_tables(n, prefix=None):
-    """All idempotent, associative, regular n-tables, as flat tuples.
+    """Every D-ordered band of order n: the idempotent, associative,
+    regular n-tables, as flat tuples, whose labels satisfy
 
-    `prefix`, when given, fixes the off-diagonal cells of row 0 (a tuple of
-    n-1 values); used to split the search across workers.
+    (A) order: no element is strictly D-below an element with a smaller
+        label, where x <=_D y iff x.y.x = x;
+    (B) contiguity: each D-class is a contiguous label range, so x < z < y
+        and x D y imply z D x.
+
+    Soundness: sort the classes of S/D along any linear extension of its
+    order and number their elements class by class.  That labelling of the
+    band satisfies (A) and (B), so every band keeps at least one labelling
+    up to isomorphism.  A skew lattice has the D-classes of its meet band,
+    so relabelling it the same way gives a meet table listed here whose
+    `join_completions` include the relabelled join.  `canonical_pair` is
+    the minimum over all relabelings, so a catalog built from these tables
+    is the one built from all labellings.
+
+    (A) is checked after each cell on the pairs that cell can decide,
+    (B) at the leaf.  `prefix`, when given, fixes the off-diagonal cells of
+    row 0 (a tuple of n-1 values), under the same checks; used to split
+    the search across workers.
     """
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     t = [-1] * (n * n)
@@ -96,22 +161,23 @@ def meet_tables(n, prefix=None):
     if prefix is not None:
         for k, v in enumerate(prefix):
             i, j = cells[k]
-            t[i * n + j] = v
-            if not _assoc_ok_at(t, n, i * n + j):
+            pos = i * n + j
+            t[pos] = v
+            if not (_assoc_ok_at(t, n, pos) and _d_ordered_at(t, n, pos)):
                 return []
         start = len(prefix)
     out = []
 
     def fill(k):
         if k == len(cells):
-            if _is_regular(t, n):
+            if _d_contiguous(t, n) and _is_regular(t, n):
                 out.append(tuple(t))
             return
         i, j = cells[k]
         pos = i * n + j
         for v in range(n):
             t[pos] = v
-            if _assoc_ok_at(t, n, pos):
+            if _assoc_ok_at(t, n, pos) and _d_ordered_at(t, n, pos):
                 fill(k + 1)
         t[pos] = -1
 

@@ -18,7 +18,12 @@ from .core import (
     to_json_dict,
     validate,
 )
-from .errors import InconsistentCosetData, MalformedInput, OrderTooLarge
+from .errors import (
+    InconsistentCosetData,
+    MalformedInput,
+    OrderTooLarge,
+    SkewLatticeError,
+)
 from .greens import green_D, green_L, green_R
 from .kernels import canonical_pair, join_completions, meet_tables
 
@@ -310,7 +315,10 @@ def save_catalog(cat: Catalog, directory: str):
 def load_catalog(directory: str) -> Catalog:
     """The catalog saved in `directory`, each algebra re-validated.  Raises
     MalformedInput when a file is missing, unreadable or not in the saved
-    format, and SkewLatticeError when an algebra violates an axiom."""
+    format, and SkewLatticeError when an algebra violates an axiom, has
+    another order than the index, or is not in canonical form, or when the
+    algebras are not distinct and sorted as `enumerate_catalog` leaves
+    them."""
     index_path = os.path.join(directory, "index.json")
     index = read_json(index_path)
     try:
@@ -320,5 +328,19 @@ def load_catalog(directory: str) -> Catalog:
         raise MalformedInput(
             f"{index_path} does not match the catalog format: {e}"
         ) from None
+    if type(order) is not int:
+        raise MalformedInput(f"{index_path}: order {order!r} is not an integer")
     algebras = tuple(require_valid(load_algebra(p)[0], p) for p in paths)
+    for p, s in zip(paths, algebras):
+        if s.n != order:
+            raise SkewLatticeError(
+                f"{p}: an algebra of order {s.n} in a catalog of order {order}"
+            )
+        if canonical(s) != s:
+            raise SkewLatticeError(f"{p}: not in canonical form")
+    keys = [(s.meet.flat(), s.join.flat()) for s in algebras]
+    for k in range(1, len(keys)):
+        if keys[k - 1] >= keys[k]:
+            fault = "repeats" if keys[k - 1] == keys[k] else "sorts before"
+            raise SkewLatticeError(f"{paths[k]} {fault} {paths[k - 1]}")
     return Catalog(order=order, algebras=algebras, provenance=provenance)

@@ -109,20 +109,6 @@ def comparable_pairs(s: SkewLattice):
     return out
 
 
-def full_coset(s: SkewLattice, pair: DClassPair, b: int) -> frozenset:
-    """The coset A ^ b ^ A of the upper class through b."""
-    if b not in pair.lower:
-        raise ElementNotInClass(f"{b} not in the lower class")
-    return full_coset_meet(s, pair.upper, b)
-
-
-def full_coset_up(s: SkewLattice, pair: DClassPair, a: int) -> frozenset:
-    """The coset B v a v B of the lower class through a."""
-    if a not in pair.upper:
-        raise ElementNotInClass(f"{a} not in the upper class")
-    return full_coset_join(s, pair.lower, a)
-
-
 def _blocks(sets):
     return tuple(sorted(set(sets), key=min))
 

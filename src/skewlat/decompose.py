@@ -89,14 +89,6 @@ def projections(s: SkewLattice):
     return dec.left_factor.class_of, dec.right_factor.class_of
 
 
-def _is_sublattice(s, chosen, mt, jt):
-    for a in chosen:
-        for b in chosen:
-            if mt[a][b] not in chosen or jt[a][b] not in chosen:
-                return False
-    return True
-
-
 def find_lattice_section(s: SkewLattice) -> Sections:
     """Backtracking search for a transversal of the D-classes closed under
     both operations; absence is reported as None fields, not an error."""

@@ -40,17 +40,6 @@ class Partition:
                 block_of[x] = i
         return cls(n, tuple(block_of), tuple(blocks))
 
-    @classmethod
-    def identity(cls, n):
-        return cls.from_block_of(list(range(n)))
-
-    @classmethod
-    def single_block(cls, n):
-        return cls.from_block_of([0] * n)
-
-    def block_set(self, i):
-        return frozenset(bits(self.blocks[i]))
-
     def block_mask_of(self, x):
         return self.blocks[self.block_of[x]]
 
@@ -172,10 +161,6 @@ def flat_preorder_R(s: SkewLattice):
     return tuple(
         mask_of(y for y in range(n) if mt[y][x] == x) for x in range(n)
     )
-
-
-def relation_contained(r1, r2):
-    return all(a & ~b == 0 for a, b in zip(r1, r2))
 
 
 def principal_ideals(s: SkewLattice, y: int):

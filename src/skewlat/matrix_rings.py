@@ -78,10 +78,6 @@ class PrimeFieldMatrix:
         return len(self.entries)
 
     @classmethod
-    def zero(cls, p, n):
-        return cls(p, tuple((0,) * n for _ in range(n)))
-
-    @classmethod
     def identity(cls, p, n):
         return cls(p, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
@@ -158,9 +154,6 @@ class MatrixSkewLattice:
     elements: tuple  # PrimeFieldMatrix, index order matches `abstract`
     abstract: SkewLattice
     origin: str
-
-    def index(self, m: PrimeFieldMatrix) -> int:
-        return self.elements.index(m)
 
     def to_json_dict(self):
         from .core import to_json_dict

@@ -46,12 +46,6 @@ class Term:
             return self.var
         return max(self.left.max_var(), self.right.max_var())
 
-    def __str__(self):
-        if self.op is None:
-            return "xyzw"[self.var] if self.var < 4 else f"x{self.var}"
-        sym = "^" if self.op == MEET else "v"
-        return f"({self.left}{sym}{self.right})"
-
 
 def V(i):
     return Term(None, var=i)

@@ -79,10 +79,13 @@ def test_order_cap():
         enumerate_catalog(4, method="naive-oracle")
 
 
-def test_worker_count_does_not_change_the_catalog():
+def test_worker_count_does_not_change_the_catalog(catalog5):
     a = enumerate_catalog(4, workers=1)
     b = enumerate_catalog(4, workers=4)
     assert a.algebras == b.algebras
+    # at order 5 many worker prefixes die on their first cell, so the split
+    # is uneven; the union must still be the serial search
+    assert enumerate_catalog(5, workers=2).algebras == catalog5.algebras
 
 
 def test_save_load_round_trip(tmp_path, catalogs):

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from skewlat.catalog import nc5
+from skewlat.catalog import canonical, nc5
 from skewlat.cli import main
-from skewlat.core import chain, rectangular, to_json
+from skewlat.core import SkewLattice, chain, rectangular, to_json
 
 
 @pytest.fixture()
@@ -188,6 +188,7 @@ _CHAIN2 = {"n": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]]}
 _SHORT_NAMES = dict(_CHAIN2, names=["a"])
 _NON_STRING_NAMES = dict(_CHAIN2, names=["a", 3])
 _INDEX_WITHOUT_ALGEBRAS = {"order": 2, "provenance": "pruned-search"}
+_INDEX_WITH_TEXT_ORDER = dict(_INDEX_WITHOUT_ALGEBRAS, order="2", algebras=[])
 
 
 def _write_catalog(directory, index, files=()):
@@ -242,6 +243,11 @@ def _write_catalog(directory, index, files=()):
             ["verify", "--catalog"],
             id="catalog-index-without-algebras",
         ),
+        pytest.param(
+            _INDEX_WITH_TEXT_ORDER,
+            ["verify", "--catalog"],
+            id="catalog-order-not-integer",
+        ),
     ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, algebra, argv):
@@ -268,6 +274,44 @@ def test_verify_catalog_with_invalid_algebra_exit_1(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not a skew lattice" in err
+
+
+def _chain3_relabelled():
+    # chain(3) with its top and bottom swapped: a skew lattice, not canonical
+    s = chain(3)
+    return SkewLattice(
+        [[2 - s.m(2 - x, 2 - y) for y in range(3)] for x in range(3)],
+        [[2 - s.j(2 - x, 2 - y) for y in range(3)] for x in range(3)],
+    )
+
+
+@pytest.mark.parametrize(
+    "order,algebras,fault",
+    [
+        pytest.param(2, ["chain3", "chain3"], "in a catalog of order 2", id="order"),
+        pytest.param(3, ["chain3", "chain3"], "b.json repeats", id="repeated"),
+        pytest.param(3, ["relabelled"], "not in canonical form", id="non-canonical"),
+        pytest.param(2, ["rect12", "chain2"], "b.json sorts before", id="unsorted"),
+    ],
+)
+def test_verify_catalog_with_a_bad_index_exit_1(capsys, tmp_path, order, algebras, fault):
+    # every algebra is a valid skew lattice; the index around them is wrong
+    named = {
+        "chain2": canonical(chain(2)),
+        "chain3": canonical(chain(3)),
+        "rect12": canonical(rectangular(1, 2)),
+        "relabelled": _chain3_relabelled(),
+    }
+    files = [(f"{c}.json", json.loads(to_json(named[a])))
+             for c, a in zip("ab", algebras)]
+    index = {"order": order, "provenance": "pruned-search",
+             "algebras": [{"file": name} for name, _ in files]}
+    directory = _write_catalog(tmp_path, index, files)
+    code, out, err = run(capsys, "verify", "--catalog", directory)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fault in err
 
 
 def test_verify_order_above_cap_exits_before_searching(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 it must reproduce, and the binding of the kernels in `skewlat.kernels`."""
 
 import random
+from functools import cache
 from itertools import permutations, product
 
 import pytest
@@ -30,8 +31,6 @@ def test_backend_selected():
 
 
 def test_canonical_pair_is_minimal_over_relabelings():
-    from itertools import permutations
-
     s = rectangular(2, 2)
     mt, jt, n = _flat(s)
     cm, cj, _ = kernels.canonical_pair(mt, jt, n)
@@ -40,15 +39,61 @@ def test_canonical_pair_is_minimal_over_relabelings():
         assert (cm, cj) <= relab
 
 
+@cache
+def _bands(n, impl=_kernels_py):
+    return impl.meet_tables(n)
+
+
 @pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize(
     "order,bands,completions",
-    [(1, 1, 1), (2, 4, 4), (3, 35, 20), (4, 604, 180)],
+    [(1, 1, 1), (2, 4, 4), (3, 35, 20), (4, 604, 180), (5, 16607, 1862)],
 )
 def test_search_size(impl, order, bands, completions):
-    tables = impl.meet_tables(order)
+    # The search keeps only D-ordered labellings, at least one per band;
+    # closing its output under relabeling gives back the numbers of all
+    # labelled bands and of all labelled (meet, join) pairs.
+    n = order
+    perms = list(permutations(range(n)))
+    tables = _bands(n, impl)
+    relabel = impl.relabel
+    assert len({relabel(mt, n, p) for mt in tables for p in perms}) == bands
+    pairs = {
+        (relabel(mt, n, p), relabel(jt, n, p))
+        for mt in tables
+        for jt in impl.join_completions(mt, n)
+        for p in perms
+    }
+    assert len(pairs) == completions
+
+
+@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "order,bands,completions",
+    [(1, 1, 1), (2, 3, 3), (3, 12, 7), (4, 91, 28)],
+)
+def test_d_ordered_search_size(impl, order, bands, completions):
+    tables = _bands(order, impl)
     found = sum(len(impl.join_completions(mt, order)) for mt in tables)
     assert (len(tables), found) == (bands, completions)
+
+
+def _d_leq(t, n, x, y):
+    """x <=_D y in the band t, read as x.y.x = x."""
+    return t[t[x * n + y] * n + x] == x
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_search_output_is_d_ordered(order):
+    # a labelled cross-check of (A) and (B), written from x.y.x alone
+    n = order
+    for t in _bands(n):
+        for x, y in product(range(n), repeat=2):
+            below = _d_leq(t, n, x, y) and not _d_leq(t, n, y, x)
+            assert not (below and x > y), (t, x, y)
+            if x < y and _d_leq(t, n, x, y) and _d_leq(t, n, y, x):
+                for z in range(x + 1, y):
+                    assert _d_leq(t, n, z, x) and _d_leq(t, n, x, z), (t, x, y, z)
 
 
 def _assoc_ok_rescan(t, n):
@@ -64,7 +109,13 @@ def _assoc_ok_rescan(t, n):
     return True
 
 
-_BANDS = {n: _kernels_py.meet_tables(n) for n in range(1, 5)}
+def _any_band(data):
+    """(n, band): a D-ordered band of order <= 4 under a random relabeling,
+    so every labelling of every band can be drawn."""
+    n = data.draw(st.integers(1, 4), label="n")
+    band = data.draw(st.sampled_from(_bands(n)), label="band")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    return n, _kernels_py.relabel(band, n, perm)
 
 
 @settings(max_examples=300, deadline=None)
@@ -73,8 +124,7 @@ def test_incremental_assoc_matches_rescan(data):
     # Fill cells in a random order, each with either the value of a real
     # band (so the table can fill up) or a random one; an assignment that
     # fails is undone, so every check starts from a table that passes.
-    n = data.draw(st.integers(1, 4), label="n")
-    band = data.draw(st.sampled_from(_BANDS[n]), label="band")
+    n, band = _any_band(data)
     t = [-1] * (n * n)
     for pos in data.draw(st.permutations(range(n * n)), label="cells"):
         t[pos] = data.draw(
@@ -82,6 +132,39 @@ def test_incremental_assoc_matches_rescan(data):
         )
         ok = _kernels_py._assoc_ok_at(t, n, pos)
         assert ok == _assoc_ok_rescan(t, n)
+        if not ok:
+            t[pos] = -1
+
+
+def _d_ordered_rescan(t, n):
+    """Condition (A) on every decidable pair of t, rescanned: a deliberate,
+    independent cross-check of the incremental `_d_ordered_at`."""
+    for x, y in product(range(n), repeat=2):
+        xy, yx = t[x * n + y], t[y * n + x]
+        if xy < 0 or yx < 0:
+            continue
+        xyx, yxy = t[xy * n + x], t[yx * n + y]
+        if xyx < 0 or yxy < 0:
+            continue
+        # y is strictly D-below x although it has the larger label
+        if y > x and yxy == y and xyx != x:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_incremental_d_order_matches_rescan(data):
+    # as for associativity: cells in a random order, real or random values,
+    # a failing assignment undone
+    n, band = _any_band(data)
+    t = [-1] * (n * n)
+    for pos in data.draw(st.permutations(range(n * n)), label="cells"):
+        t[pos] = data.draw(
+            st.one_of(st.just(band[pos]), st.integers(0, n - 1)), label="value"
+        )
+        ok = _kernels_py._d_ordered_at(t, n, pos)
+        assert ok == _d_ordered_rescan(t, n)
         if not ok:
             t[pos] = -1
 
