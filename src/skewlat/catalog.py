@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     SkewLattice,
+    _assoc_witness,
     load_algebra,
     read_json,
     require_valid,
@@ -115,6 +116,26 @@ def _prefixes(n):
     return [tuple(p) for p in itertools.product(range(n), repeat=n - 1)]
 
 
+def _naive_bands(n):
+    """Every band on 0..n-1 as a nested table, by full scan: each of the
+    n**(n*n - n) tables whose diagonal is the identity (idempotent by
+    construction) that `core._assoc_witness` finds associative.
+
+    This is the naive oracle's pre-filter.  `validate` rejects any pair
+    whose meet or join is not a band, so pairing only these tables drops
+    no skew lattice, and the oracle stays an exhaustive scan that shares
+    no code with the pruned search beyond `canonical_pair`."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    bands = []
+    for vals in itertools.product(range(n), repeat=len(cells)):
+        t = [[i] * n for i in range(n)]
+        for (i, j), v in zip(cells, vals):
+            t[i][j] = v
+        if _assoc_witness(t, n) is None:
+            bands.append(t)
+    return bands
+
+
 def enumerate_catalog(
     order: int, method: str = "pruned-search", workers: int = 1
 ) -> Catalog:
@@ -135,17 +156,12 @@ def enumerate_catalog(
                 for part in pool.imap_unordered(_search_task, tasks, chunksize=64):
                     found |= part
     elif method == "naive-oracle":
+        # every pair of bands through the full axiom check; see _naive_bands
         found = set()
         n = order
-        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for mvals in itertools.product(range(n), repeat=len(cells)):
-            meet = [[i] * n for i in range(n)]
-            for (i, j), v in zip(cells, mvals):
-                meet[i][j] = v
-            for jvals in itertools.product(range(n), repeat=len(cells)):
-                join = [[i] * n for i in range(n)]
-                for (i, j), v in zip(cells, jvals):
-                    join[i][j] = v
+        bands = _naive_bands(n)
+        for meet in bands:
+            for join in bands:
                 if validate(meet, join).valid:
                     mt = tuple(v for row in meet for v in row)
                     jt = tuple(v for row in join for v in row)

@@ -147,6 +147,13 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
+def _save_catalog(cat, directory):
+    try:
+        _catalog.save_catalog(cat, directory)
+    except OSError as e:
+        raise UsageError(f"cannot write catalog to {directory}: {e}") from None
+
+
 def _cached_catalog(order, method, workers):
     cache_dir = os.environ.get("SKEWLAT_CACHE_DIR")
     if cache_dir:
@@ -154,7 +161,7 @@ def _cached_catalog(order, method, workers):
         if os.path.exists(os.path.join(slot, "index.json")):
             return _catalog.load_catalog(slot)
         cat = _catalog.enumerate_catalog(order, method=method, workers=workers)
-        _catalog.save_catalog(cat, slot)
+        _save_catalog(cat, slot)
         return cat
     return _catalog.enumerate_catalog(order, method=method, workers=workers)
 
@@ -164,7 +171,7 @@ def cmd_enumerate(args):
     method = "naive-oracle" if args.oracle else "pruned-search"
     cat = _cached_catalog(args.order, method, args.workers)
     if args.out:
-        _catalog.save_catalog(cat, args.out)
+        _save_catalog(cat, args.out)
     _emit(
         {
             "order": cat.order,
@@ -386,8 +393,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    # an unreadable or malformed input file, a non-prime --p or an --order
-    # above the method's cap is a usage error
+    # an unreadable or malformed input file, an unwritable catalog
+    # directory, a non-prime --p or an --order above the method's cap is a
+    # usage error
     except (UsageError, MalformedInput, NotAPrimeField, OrderTooLarge) as e:
         _info(f"error: {e}")
         return EXIT_USAGE

@@ -235,6 +235,7 @@ def _ranges(block_dims):
 
 
 def _as_block(p, rows, cols, data):
+    _field(p)  # a bad modulus raises NotAPrimeField here, before v % p
     if data is None:
         data = tuple((0,) * cols for _ in range(rows))
     data = tuple(tuple(v % p for v in row) for row in data)

@@ -112,9 +112,10 @@ def test_enumerate_counts(capsys):
     assert json.loads(out)["count"] == 3
 
 
-def test_enumerate_oracle_agrees(capsys):
-    _, out_a, _ = run(capsys, "enumerate", "--order", "2")
-    _, out_b, _ = run(capsys, "enumerate", "--order", "2", "--oracle")
+@pytest.mark.parametrize("order", ["2", "3"])
+def test_enumerate_oracle_agrees(capsys, order):
+    _, out_a, _ = run(capsys, "enumerate", "--order", order)
+    _, out_b, _ = run(capsys, "enumerate", "--order", order, "--oracle")
     a, b = json.loads(out_a), json.loads(out_b)
     assert a["algebras"] == b["algebras"]
     assert a["provenance"] != b["provenance"]
@@ -191,6 +192,11 @@ _INDEX_WITHOUT_ALGEBRAS = {"order": 2, "provenance": "pruned-search"}
 _INDEX_WITH_TEXT_ORDER = dict(_INDEX_WITHOUT_ALGEBRAS, order="2", algebras=[])
 
 
+# stands for the path of an existing regular file; a leading NAME=VALUE
+# word sets an environment variable, as in a shell
+_A_FILE = "<a-file>"
+
+
 def _write_catalog(directory, index, files=()):
     """A saved catalog in `directory`: `index` as index.json plus each
     (name, algebra) in `files`."""
@@ -227,6 +233,7 @@ def _write_catalog(directory, index, files=()):
         ),
         pytest.param(_NON_STRING_NAMES, ["validate"], id="validate-non-string-names"),
         pytest.param(None, ["matrix", "--p", "4"], id="matrix-non-prime"),
+        pytest.param(None, ["matrix", "--p", "0"], id="matrix-zero-modulus"),
         pytest.param(None, ["enumerate", "--order", "9"], id="order-above-cap"),
         pytest.param(
             None,
@@ -248,9 +255,25 @@ def _write_catalog(directory, index, files=()):
             ["verify", "--catalog"],
             id="catalog-order-not-integer",
         ),
+        pytest.param(
+            None,
+            ["enumerate", "--order", "2", "--out", _A_FILE],
+            id="catalog-out-is-a-file",
+        ),
+        pytest.param(
+            None,
+            ["SKEWLAT_CACHE_DIR=" + _A_FILE, "enumerate", "--order", "2"],
+            id="cache-dir-is-a-file",
+        ),
     ],
 )
-def test_malformed_input_exit_2(capsys, tmp_path, algebra, argv):
+def test_malformed_input_exit_2(capsys, tmp_path, monkeypatch, algebra, argv):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    argv = [v.replace(_A_FILE, str(a_file)) for v in argv]
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
     if argv[-1] == "--catalog":
         argv = argv + [_write_catalog(tmp_path, algebra)]
     elif algebra is not None:

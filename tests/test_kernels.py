@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlat import _kernels_py, kernels
-from skewlat.catalog import nc5
+from skewlat.catalog import _naive_bands, nc5
 from skewlat.core import chain, direct_product, rectangular
 
 IMPLS = [_kernels_py]
@@ -44,6 +44,12 @@ def _bands(n, impl=_kernels_py):
     return impl.meet_tables(n)
 
 
+def _labelled_bands(n, impl=_kernels_py):
+    """The search's bands closed under relabeling, as flat tables."""
+    perms = list(permutations(range(n)))
+    return {impl.relabel(mt, n, p) for mt in _bands(n, impl) for p in perms}
+
+
 @pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize(
     "order,bands,completions",
@@ -57,7 +63,7 @@ def test_search_size(impl, order, bands, completions):
     perms = list(permutations(range(n)))
     tables = _bands(n, impl)
     relabel = impl.relabel
-    assert len({relabel(mt, n, p) for mt in tables for p in perms}) == bands
+    assert len(_labelled_bands(n, impl)) == bands
     pairs = {
         (relabel(mt, n, p), relabel(jt, n, p))
         for mt in tables
@@ -65,6 +71,17 @@ def test_search_size(impl, order, bands, completions):
         for p in perms
     }
     assert len(pairs) == completions
+
+
+@pytest.mark.parametrize("order,bands", [(1, 1), (2, 4), (3, 35)])
+def test_naive_oracle_bands_match_the_search(order, bands):
+    # The naive oracle's pre-filter scans every idempotent table for
+    # associativity; the search builds D-ordered regular bands cell by cell.
+    # Every band of order <= 3 is regular, so the two must list the same
+    # labelled bands, each found without the other's method.
+    naive = [tuple(v for row in t for v in row) for t in _naive_bands(order)]
+    assert len(naive) == len(set(naive)) == bands
+    assert set(naive) == _labelled_bands(order)
 
 
 @pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.__name__)
