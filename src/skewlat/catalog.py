@@ -307,7 +307,9 @@ def primitive_from_coset_data(d: CosetData) -> SkewLattice:
 
 def save_catalog(cat: Catalog, directory: str):
     """Write one JSON file per algebra plus an index with counts and
-    classification fingerprints."""
+    classification fingerprints.  The index is written last, to a
+    temporary file renamed into place: a save cut short leaves no
+    index.json, so the directory reads as absent rather than malformed."""
     from .varieties import classify
 
     os.makedirs(directory, exist_ok=True)
@@ -323,9 +325,11 @@ def save_catalog(cat: Catalog, directory: str):
         }
         index["algebras"].append({"file": name, "classification": fingerprint})
     index["count"] = len(cat.algebras)
-    with open(os.path.join(directory, "index.json"), "w") as f:
+    path = os.path.join(directory, "index.json")
+    with open(path + ".tmp", "w") as f:
         json.dump(index, f, sort_keys=True, indent=2)
         f.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 def load_catalog(directory: str) -> Catalog:

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from . import __version__
 from . import catalog as _catalog
 from . import core, cosets, decompose, greens, laws, matrix_rings, varieties
 from .errors import (
@@ -157,7 +158,7 @@ def _save_catalog(cat, directory):
 def _cached_catalog(order, method, workers):
     cache_dir = os.environ.get("SKEWLAT_CACHE_DIR")
     if cache_dir:
-        slot = os.path.join(cache_dir, f"{method}-order{order}")
+        slot = os.path.join(cache_dir, f"{method}-order{order}-v{__version__}")
         if os.path.exists(os.path.join(slot, "index.json")):
             return _catalog.load_catalog(slot)
         cat = _catalog.enumerate_catalog(order, method=method, workers=workers)

@@ -242,10 +242,16 @@ def dclass_order(s: SkewLattice):
     return d, leq
 
 
+def _dot_escape(text: str) -> str:
+    """text as the body of a quoted DOT string: backslashes, quotes and
+    newlines escaped, so a name cannot end the string early."""
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def to_dot(s: SkewLattice, names=None) -> str:
     """DOT rendering: one cluster per D-class (eggbox grid), dashed Hasse
     edges between D-classes."""
-    label = (lambda x: names[x]) if names else str
+    label = (lambda x: _dot_escape(names[x])) if names else str
     d, leq = dclass_order(s)
     boxes = eggboxes(s)
     lines = ["digraph eggboxes {", "  rankdir=BT;", "  node [shape=box];"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .core import SkewLattice, _cached, validate
 from .errors import (
@@ -140,13 +141,21 @@ def circle(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:
 def nabla(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """(x + y - xy)^2, cross-checked against its expanded quintic form
     x + y + yx - xyx - yxy (valid for idempotent x, y)."""
-    c = circle(x, y)
-    sq = c @ c
+    return _nablas(x, y, x @ y, y @ x)[0]
+
+
+def _nablas(x, y, xy, yx):
+    """(nabla(x, y), nabla(y, x)) from the products xy = x @ y and
+    yx = y @ x, each cross-checked as `nabla` is; the two checks share
+    xyx and yxy."""
+    s = x + y
+    cxy, cyx = s - xy, s - yx  # circle(x, y), circle(y, x)
+    sq_xy, sq_yx = cxy @ cxy, cyx @ cyx
     if x.is_idempotent() and y.is_idempotent():
-        expanded = x + y + y @ x - x @ y @ x - y @ x @ y
-        if sq != expanded:
+        xyx, yxy = xy @ x, yx @ y
+        if sq_xy != s + yx - xyx - yxy or sq_yx != s + xy - yxy - xyx:
             raise InternalInconsistency("nabla expansion mismatch")
-    return sq
+    return sq_xy, sq_yx
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,9 @@ def closure(
     generators, origin: str = "closure", cap: int = DEFAULT_CLOSURE_CAP
 ) -> MatrixSkewLattice:
     """Least set of matrices containing the generators and closed under
-    multiplication and nabla, validated as a skew lattice."""
+    multiplication and nabla, validated as a skew lattice.  Each round
+    visits each unordered pair once and forms each of its products, x @ y,
+    y @ x, nabla(x, y) and nabla(y, x), exactly once."""
     gens = list(generators)
     if not gens:
         raise DimensionMismatch("need at least one generator")
@@ -188,23 +199,27 @@ def closure(
 
     for g in gens:
         index_of(g)
-    # Breadth-first: each round pairs the elements found in the previous
-    # round (lo..hi) with every element known at its start (0..hi), in both
-    # orders, so each product is formed in the round where the later of its
-    # factors is new.  Its index is recorded then; the tables need no
-    # second pass.
+    # Breadth-first: each round visits every unordered pair {x, y} whose
+    # later element was found in the previous round (lo..hi) once, and
+    # forms both products and both nablas of it, so each product is formed
+    # in the round where the later of its factors is new.  Its index is
+    # recorded then; the tables need no second pass.  A pair of two new
+    # elements j < i is visited as (j, i) only: visiting it again as
+    # (i, j) would find nothing new, so skipping it keeps the numbering.
     meet, join = {}, {}
     lo = 0
     while lo < len(elems):
         hi = len(elems)
         for i in range(lo, hi):
             x = elems[i]
-            for j in range(hi):
+            for j in chain(range(lo), range(i, hi)):
                 y = elems[j]
-                meet[i, j] = index_of(x @ y)
-                meet[j, i] = index_of(y @ x)
-                join[i, j] = index_of(nabla(x, y))
-                join[j, i] = index_of(nabla(y, x))
+                xy, yx = x @ y, y @ x
+                meet[i, j] = index_of(xy)
+                meet[j, i] = index_of(yx)
+                nxy, nyx = _nablas(x, y, xy, yx)
+                join[i, j] = index_of(nxy)
+                join[j, i] = index_of(nyx)
         if len(elems) > cap:
             raise ClosureExceedsCap(f"closure exceeds {cap} elements")
         lo = hi
@@ -343,12 +358,13 @@ def primitive_right_handed(
     idempotents a0, b0 are always included.  Verified primitive (two
     comparable classes) and right-handed."""
     msl = _primitive(p, block_dims, a_params, b_params, "right")
-    # in the right-handed case nabla reduces to circle; the join table
-    # already holds the index of every nabla(x, y)
-    elems, join = msl.elements, msl.abstract.join.entries
+    # in the right-handed case nabla reduces to circle x + y - xy; the
+    # meet and join tables already hold the indices of xy and nabla(x, y)
+    elems = msl.elements
+    meet, join = msl.abstract.meet.entries, msl.abstract.join.entries
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
-            if elems[join[i][j]] != circle(x, y):
+            if elems[join[i][j]] != x + y - elems[meet[i][j]]:
                 raise InternalInconsistency("nabla differs from circle")
     return msl
 
@@ -406,7 +422,6 @@ def matrix_coset_remark_check(
     """Compare abstract coset equalities with the stated block-entry
     equalities, for every pair in each class."""
     from .cosets import (
-        DClassPair,
         full_coset_join,
         full_coset_meet,
         left_coset_join,
@@ -420,66 +435,39 @@ def matrix_coset_remark_check(
         if m.dim != len(r1) + len(r2) + len(r3):
             raise NotInStandardForm("block sizes do not sum to matrix dimension")
     upper, lower = _check_primitive(msl)
-    pair = DClassPair(upper=upper, lower=lower)
     s = msl.abstract
-    blk = lambda i, rr, cc: msl.elements[i].block(rr, cc)
+    # (class, the class its cosets are taken of, criteria); a criterion
+    # is (name, coset function, the blocks whose equality it states)
+    classes = (
+        (lower, upper, (
+            ("full-lower", full_coset_meet, ((r2, r1), (r1, r2))),
+            ("right-lower", right_coset_meet, ((r2, r1), (r3, r1), (r1, r2))),
+            ("left-lower", left_coset_meet, ((r2, r1), (r1, r2), (r1, r3))),
+        )),
+        (upper, lower, (
+            ("full-upper", full_coset_join, ((r3, r2), (r2, r3))),
+            ("right-upper", right_coset_join, ((r3, r1), (r3, r2), (r2, r3))),
+            ("left-upper", left_coset_join, ((r3, r2), (r1, r3), (r2, r3))),
+        )),
+    )
     records = []
-    for x in sorted(lower):
-        for y in sorted(lower):
-            records.append(
-                Record(
-                    ("full-lower", x, y),
-                    full_coset_meet(s, upper, x) == full_coset_meet(s, upper, y),
-                    blk(x, r2, r1) == blk(y, r2, r1)
-                    and blk(x, r1, r2) == blk(y, r1, r2),
-                )
-            )
-            records.append(
-                Record(
-                    ("right-lower", x, y),
-                    right_coset_meet(s, upper, x) == right_coset_meet(s, upper, y),
-                    blk(x, r2, r1) == blk(y, r2, r1)
-                    and blk(x, r3, r1) == blk(y, r3, r1)
-                    and blk(x, r1, r2) == blk(y, r1, r2),
-                )
-            )
-            records.append(
-                Record(
-                    ("left-lower", x, y),
-                    left_coset_meet(s, upper, x) == left_coset_meet(s, upper, y),
-                    blk(x, r2, r1) == blk(y, r2, r1)
-                    and blk(x, r1, r2) == blk(y, r1, r2)
-                    and blk(x, r1, r3) == blk(y, r1, r3),
-                )
-            )
-    for u in sorted(upper):
-        for v in sorted(upper):
-            records.append(
-                Record(
-                    ("full-upper", u, v),
-                    full_coset_join(s, lower, u) == full_coset_join(s, lower, v),
-                    blk(u, r3, r2) == blk(v, r3, r2)
-                    and blk(u, r2, r3) == blk(v, r2, r3),
-                )
-            )
-            records.append(
-                Record(
-                    ("right-upper", u, v),
-                    right_coset_join(s, lower, u) == right_coset_join(s, lower, v),
-                    blk(u, r3, r1) == blk(v, r3, r1)
-                    and blk(u, r3, r2) == blk(v, r3, r2)
-                    and blk(u, r2, r3) == blk(v, r2, r3),
-                )
-            )
-            records.append(
-                Record(
-                    ("left-upper", u, v),
-                    left_coset_join(s, lower, u) == left_coset_join(s, lower, v),
-                    blk(u, r3, r2) == blk(v, r3, r2)
-                    and blk(u, r1, r3) == blk(v, r1, r3)
-                    and blk(u, r2, r3) == blk(v, r2, r3),
-                )
-            )
+    for cls, other, criteria in classes:
+        members = sorted(cls)
+        # each element's coset and blocks per criterion, formed once
+        keys = {
+            x: [
+                (coset(s, other, x),
+                 tuple(msl.elements[x].block(rr, cc) for rr, cc in blocks))
+                for _, coset, blocks in criteria
+            ]
+            for x in members
+        }
+        for x in members:
+            for y in members:
+                for (name, _, _), (cx, bx), (cy, by) in zip(
+                    criteria, keys[x], keys[y]
+                ):
+                    records.append(Record((name, x, y), cx == cy, bx == by))
     return ConcordanceReport(
         law="matrix-block-coset-criteria",
         algebra=msl.origin,

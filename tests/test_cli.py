@@ -1,7 +1,10 @@
+import hashlib
 import json
+import re
 
 import pytest
 
+from skewlat import __version__
 from skewlat.catalog import canonical, nc5
 from skewlat.cli import main
 from skewlat.core import SkewLattice, chain, rectangular, to_json
@@ -174,12 +177,80 @@ def test_export_dot(capsys, tmp_path):
     assert out.count("subgraph cluster_") == 1
 
 
+# a DOT node statement whose label is one quoted string: no unescaped
+# quote and no raw newline inside it
+_DOT_NODE = re.compile(r'    e(\d+) \[label="((?:[^"\\\n]|\\.)*)"\];')
+
+
+def _dot_unescape(body):
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], body)
+
+
+def test_export_dot_escapes_names(capsys, tmp_path):
+    path = tmp_path / "chain2.json"
+    names = ['a"] ; evil [x="', "b\\\nc\\"]
+    path.write_text(json.dumps(dict(_CHAIN2, names=names)))
+    code, out, _ = run(capsys, "export", str(path), "--format", "dot")
+    assert code == 0
+    labels = {}
+    for line in out.splitlines():
+        if line.startswith("    e") and "[label=" in line:
+            m = _DOT_NODE.fullmatch(line)
+            assert m, line
+            labels[int(m[1])] = _dot_unescape(m[2])
+    assert labels == dict(enumerate(names))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(_CHAIN2))
+    _, unnamed, _ = run(capsys, "export", str(plain), "--format", "dot")
+    assert out.count("\n") == unnamed.count("\n")
+
+
 def test_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SKEWLAT_CACHE_DIR", str(tmp_path))
     _, out_a, _ = run(capsys, "enumerate", "--order", "2")
-    assert (tmp_path / "pruned-search-order2" / "index.json").exists()
+    slot = tmp_path / f"pruned-search-order2-v{__version__}"
+    assert (slot / "index.json").exists()
     _, out_b, _ = run(capsys, "enumerate", "--order", "2")
     assert out_a == out_b
+
+
+def test_cache_save_cut_short_leaves_no_index(capsys, tmp_path, monkeypatch):
+    _, expected, _ = run(capsys, "enumerate", "--order", "2")
+    monkeypatch.setenv("SKEWLAT_CACHE_DIR", str(tmp_path))
+    dump = json.dump
+
+    def cut_short(obj, fp, **kwargs):
+        if "algebras" in obj:  # the index, written after every algebra
+            fp.write('{"order"')
+            raise KeyboardInterrupt
+        dump(obj, fp, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dump", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            main(["enumerate", "--order", "2"])
+    slot = tmp_path / f"pruned-search-order2-v{__version__}"
+    assert not (slot / "index.json").exists()
+    code, out, _ = run(capsys, "enumerate", "--order", "2")
+    assert (code, out) == (0, expected)
+    assert (slot / "index.json").exists()
+
+
+@pytest.mark.parametrize(
+    "construction, digest",
+    [
+        ("right", "6368c0b935268c0fa611ee74b3bce3d9a96eb5089660fd5f5fb3aaaba3ef779f"),
+        ("left", "d8dcdc33486f3219aa3dbbcb732dd6b1ec206cf7eaceebf9ec8a0d1a7288e392"),
+    ],
+)
+def test_matrix_sweep_stdout_is_pinned(capsys, construction, digest):
+    # pins the closure's element numbering along with its tables, the
+    # coset report and the factorizations
+    code, out, _ = run(
+        capsys, "matrix", "--p", "5", "--construction", construction, "--sweep"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 _RAGGED = {"n": 2, "meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]]}

@@ -1,8 +1,10 @@
+import hashlib
 from itertools import product
 
 import pytest
 
 from skewlat._bits import bits
+from skewlat.catalog import nc5
 from skewlat.core import chain, rectangular
 from skewlat.errors import NotACongruence
 from skewlat.greens import (
@@ -138,6 +140,15 @@ def test_dclass_order_on_nc5(nc5_right):
     bottoms = [i for i in range(k) if all(leq[i][j] for j in range(k))]
     tops = [i for i in range(k) if all(leq[j][i] for j in range(k))]
     assert len(bottoms) == 1 and len(tops) == 1
+
+
+def test_dot_plain_names_unchanged_by_escaping():
+    # escaping leaves names without quotes, backslashes or newlines as
+    # they are: the same bytes as when labels were pasted in raw
+    dot = to_dot(nc5("right"), names=["v", "x1", "x2", "y", "u"])
+    assert hashlib.sha256(dot.encode()).hexdigest() == (
+        "7b59c4f0be41d8eb9d1e777159eaecdf9dbf5a3f2bc624b94dcb9bb8d05e8d2f"
+    )
 
 
 def test_dot_export_structure():

@@ -1,8 +1,11 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from skewlat import cosets
 
 from skewlat.errors import (
     ClosureExceedsCap,
@@ -172,6 +175,68 @@ def test_closure_tables_index_the_products(build):
         for j, y in enumerate(elems):
             assert msl.abstract.meet[i][j] == idx[x @ y]
             assert msl.abstract.join[i][j] == idx[nabla(x, y)]
+
+
+# a generating set whose closure takes several rounds: 4 generators, 12
+# elements
+_GROWING = ([(((1,),), ((1,),))], [(((1,),), ((2,),))])
+
+
+@pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
+@pytest.mark.parametrize(
+    "params", [(_scalar_pairs(3), _scalar_pairs(3)), _GROWING], ids=["sweep", "growing"]
+)
+def test_closure_join_table_squares_the_circle(build, params):
+    # reference independent of nabla and of the closure's shared products:
+    # square x + y - xy inline
+    msl = build(3, DIMS, *params)
+    elems = msl.elements
+    idx = {m: i for i, m in enumerate(elems)}
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            c = x + y - x @ y
+            assert msl.abstract.meet[i][j] == idx[x @ y]
+            assert msl.abstract.join[i][j] == idx[c @ c]
+
+
+@pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
+def test_gf5_sweep_forms_each_product_once(monkeypatch, build):
+    calls = []
+    matmul = PrimeFieldMatrix.__matmul__
+
+    def counting_matmul(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(PrimeFieldMatrix, "__matmul__", counting_matmul)
+    pairs = _scalar_pairs(5)
+    msl = build(5, DIMS, pairs, pairs)
+    n, gens = len(msl.elements), 2 + 2 * len(pairs)
+    assert n == 50
+    # per unordered pair: x @ y, y @ x, the two nabla squares and the xyx
+    # and yxy their quintic checks share; one idempotency test per
+    # generator (the sweep's generators are all its elements)
+    assert len(calls) <= 3 * n * (n + 1) + gens
+
+
+@pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
+def test_coset_check_forms_each_coset_once(monkeypatch, build):
+    msl = build(3, DIMS, _scalar_pairs(3), _scalar_pairs(3))
+    calls = Counter()
+    for name in (
+        "right_coset_meet", "left_coset_meet", "full_coset_meet",
+        "right_coset_join", "left_coset_join", "full_coset_join",
+    ):
+        def counting(s, C, x, fn=getattr(cosets, name), name=name):
+            calls[name, x] += 1
+            return fn(s, C, x)
+
+        monkeypatch.setattr(cosets, name, counting)
+    assert matrix_coset_remark_check(msl, DIMS).verdict == "concordant"
+    # three meet cosets of each lower element, three join cosets of each
+    # upper one, each formed once
+    assert len(calls) == 3 * len(msl.elements)
+    assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("p", [4, 2, 101])
