@@ -307,12 +307,19 @@ def primitive_from_coset_data(d: CosetData) -> SkewLattice:
 
 def save_catalog(cat: Catalog, directory: str):
     """Write one JSON file per algebra plus an index with counts and
-    classification fingerprints.  The index is written last, to a
-    temporary file renamed into place: a save cut short leaves no
-    index.json, so the directory reads as absent rather than malformed."""
+    classification fingerprints.  An index left by an earlier save is
+    removed before the first algebra file is written, and the new one is
+    written last, to a temporary file renamed into place: a save cut short
+    leaves no index.json, so the directory reads as absent rather than
+    malformed."""
     from .varieties import classify
 
     os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, "index.json")
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
     index = {"order": cat.order, "provenance": cat.provenance, "algebras": []}
     for i, s in enumerate(cat.algebras):
         name = f"order{cat.order}-{i:04d}.json"
@@ -325,7 +332,6 @@ def save_catalog(cat: Catalog, directory: str):
         }
         index["algebras"].append({"file": name, "classification": fingerprint})
     index["count"] = len(cat.algebras)
-    path = os.path.join(directory, "index.json")
     with open(path + ".tmp", "w") as f:
         json.dump(index, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -72,21 +72,26 @@ def cmd_validate(args):
 def cmd_classify(args):
     s, _ = _validated(args.file)
     wanted = args.predicates.split(",") if args.predicates else None
-    if wanted:
-        unknown = [p for p in wanted if p not in varieties.PREDICATES]
-        if unknown:
-            raise UsageError(f"unknown predicates: {', '.join(unknown)}")
+    unknown = [p for p in wanted or [] if p not in varieties.PREDICATES]
+    if args.assert_true and args.assert_true not in varieties.PREDICATES:
+        unknown.append(args.assert_true)
+    if unknown:
+        raise UsageError(f"unknown predicates: {', '.join(unknown)}")
     out = varieties.classify(s, wanted).to_dict()
     _emit(out)
     _info(
         f"{args.file}: {sum(1 for v in out.values() if v['holds'])}"
         f"/{len(out)} predicates hold"
     )
-    if args.assert_true:
-        if args.assert_true not in out:
-            raise UsageError(f"unknown predicate: {args.assert_true}")
-        if not out[args.assert_true]["holds"]:
-            _info(f"assertion failed: {args.assert_true} is false")
+    name = args.assert_true
+    if name:
+        # the asserted predicate need not be among the printed ones
+        if name in out:
+            holds = out[name]["holds"]
+        else:
+            holds = varieties.PREDICATES[name](s)[0]
+        if not holds:
+            _info(f"assertion failed: {name} is false")
             return EXIT_FINDING
     return EXIT_OK
 

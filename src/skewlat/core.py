@@ -105,9 +105,9 @@ class SkewLattice:
 
 def _cached(fn):
     """Compute ``fn(s)`` once per instance of a frozen dataclass (a
-    :class:`SkewLattice`, a ``PrimeFieldMatrix``) and keep it in the
-    instance's ``__dict__``.  The value is shared by every caller, so it
-    must be immutable; it is not part of ``==`` or ``hash``."""
+    :class:`SkewLattice`, a ``PrimeFieldMatrix``, an ``Identity``) and
+    keep it in the instance's ``__dict__``.  The value is shared by every
+    caller, so it must be immutable; it is not part of ``==`` or ``hash``."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)

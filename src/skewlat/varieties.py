@@ -3,14 +3,25 @@
 Every predicate returns ``(holds, witness)`` where the witness is the
 lexicographically least violating assignment (None when the predicate
 holds, or when it is not identity-shaped).
+
+An identity is checked in stages.  Its two sides are compiled once, per
+``Identity`` object, into a plan that lists each distinct subterm under the
+highest variable it reads.  The check then fixes x0, x1, ... in turn and
+forms each subterm once per prefix of the variables it reads: ``x^y`` in
+``((x^y)^z)^w`` is formed once per (x, y).  Subterms that read the last
+variable are formed a row at a time over all its values, and the first
+index where the two sides' rows differ completes the witness.
+:func:`eval_term` evaluates a term at a single assignment; it is the
+reference the staged check is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from operator import getitem
 
-from .core import SkewLattice
+from .core import SkewLattice, _cached
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -81,6 +92,11 @@ class Identity:
 
 
 def eval_term(s: SkewLattice, t: Term, assignment) -> int:
+    """The value of ``t`` at one assignment, by recursion over the tree.
+
+    This is the single-assignment reference: the staged scan in
+    :func:`check_identity` is tested against it.
+    """
     if t.op is None:
         if t.var >= len(assignment):
             raise ArityMismatch(
@@ -93,16 +109,111 @@ def eval_term(s: SkewLattice, t: Term, assignment) -> int:
     return table[a][b]
 
 
+@_cached
+def _staged_plan(ident: Identity):
+    """The distinct subterms of both sides, staged by the highest variable
+    each one reads.
+
+    Slot k holds x_k and every compound subterm takes the next free slot
+    after its operands.  Returns ``(top, outer, inner, lhs, rhs)``: ``top``
+    is the highest variable either side reads; ``outer[k]`` lists
+    ``(slot, op, a, b)`` for the subterms known once x_0..x_k are fixed,
+    k < top; ``inner`` lists ``(slot, op, a, a_is_row, b, b_is_row)`` for
+    those that read x_top, each held as its row of values over every
+    x_top; ``lhs`` and ``rhs`` are ``(slot, is_row)`` for the two sides.
+    ``op`` is 0 for meet and 1 for join.
+    """
+    top = max(ident.lhs.max_var(), ident.rhs.max_var())
+    slots = {V(k): k for k in range(top + 1)}
+    reads = list(range(top + 1))  # slot -> highest variable it reads
+    stages = [[] for _ in range(top + 1)]
+
+    def visit(t):
+        if t not in slots:
+            a, b = visit(t.left), visit(t.right)
+            slot = slots[t] = len(reads)
+            reads.append(max(reads[a], reads[b]))
+            stages[reads[slot]].append((slot, int(t.op == JOIN), a, b))
+        return slots[t]
+
+    lhs, rhs = visit(ident.lhs), visit(ident.rhs)
+    inner = tuple(
+        (slot, op, a, reads[a] == top, b, reads[b] == top)
+        for slot, op, a, b in stages[top]
+    )
+    return (
+        top,
+        tuple(tuple(stage) for stage in stages[:top]),
+        inner,
+        (lhs, reads[lhs] == top),
+        (rhs, reads[rhs] == top),
+    )
+
+
+@_cached
+def _columns(s: SkewLattice):
+    """The meet and join tables transposed: ``_columns(s)[op][b][a]`` is
+    ``a op b``."""
+    return tuple(tuple(zip(*t.entries)) for t in (s.meet, s.join))
+
+
 def check_identity(s: SkewLattice, ident: Identity):
-    """Exhaustive check; returns (holds, first counterexample or None)."""
+    """Exhaustive check; returns (holds, first counterexample or None).
+
+    Assignments are visited in ``itertools.product`` order, so the witness
+    is the lexicographically least counterexample.  Each subterm is formed
+    once per prefix of the variables it reads, and the subterms that read
+    the last variable once per row of values over it.
+    """
     if ident.arity > ARITY_CAP:
         raise ArityTooLarge(f"arity {ident.arity} exceeds cap {ARITY_CAP}")
-    for assignment in product(range(s.n), repeat=ident.arity):
-        if eval_term(s, ident.lhs, assignment) != eval_term(
-            s, ident.rhs, assignment
-        ):
-            return False, assignment
-    return True, None
+    top, outer, inner, (lhs, lhs_is_row), (rhs, rhs_is_row) = _staged_plan(
+        ident
+    )
+    n = s.n
+    tables = (s.meet.entries, s.join.entries)
+    columns = _columns(s)
+    env = [0] * (top + 1 + sum(map(len, outer)) + len(inner))
+    env[top] = tuple(range(n))
+
+    def first_difference():
+        # env[top] is range(n), so a table row or column taken at x_top
+        # is the subterm's row as it stands
+        for slot, op, a, a_is_row, b, b_is_row in inner:
+            if not b_is_row:
+                row = columns[op][env[b]]
+                env[slot] = row if a == top else tuple(map(row.__getitem__, env[a]))
+            elif not a_is_row:
+                row = tables[op][env[a]]
+                env[slot] = row if b == top else tuple(map(row.__getitem__, env[b]))
+            else:
+                env[slot] = tuple(
+                    map(getitem, map(tables[op].__getitem__, env[a]), env[b])
+                )
+        left = env[lhs] if lhs_is_row else (env[lhs],) * n
+        right = env[rhs] if rhs_is_row else (env[rhs],) * n
+        if left != right:
+            return next(i for i in range(n) if left[i] != right[i])
+        return None
+
+    def scan(k):
+        if k == top:
+            return first_difference()
+        for v in range(n):
+            env[k] = v
+            for slot, op, a, b in outer[k]:
+                env[slot] = tables[op][env[a]][env[b]]
+            found = scan(k + 1)
+            if found is not None:
+                return found
+        return None
+
+    found = scan(0)
+    if found is None:
+        return True, None
+    # neither side reads a variable past x_top: the least counterexample
+    # sets each one to 0
+    return False, (*env[:top], found) + (0,) * (ident.arity - top - 1)
 
 
 # --- identity definitions -------------------------------------------------
@@ -250,12 +361,20 @@ def is_left_cancellative(s):
 
 
 def is_simply_cancellative(s):
-    for a in range(s.n):
-        for b in range(s.n):
+    """Least (a, b, c) with a != b that c fails to tell apart:
+    avcva=bvcvb & a^c^a=b^c^b."""
+    mt, jt = s.meet.entries, s.join.entries
+    rng = range(s.n)
+    # sandwiches[a][c] = (a v c v a, a ^ c ^ a)
+    sandwiches = [
+        [(jt[jt[a][c]][a], mt[mt[a][c]][a]) for c in rng] for a in rng
+    ]
+    for a in rng:
+        for b in rng:
             if a == b:
                 continue
-            for c in range(s.n):
-                if s.j(a, c, a) == s.j(b, c, b) and s.m(a, c, a) == s.m(b, c, b):
+            for c in rng:
+                if sandwiches[a][c] == sandwiches[b][c]:
                     return False, (a, b, c)
     return True, None
 

@@ -99,6 +99,26 @@ def test_save_load_round_trip(tmp_path, catalogs):
     assert all("classification" in e for e in index["algebras"])
 
 
+def test_resave_cut_short_leaves_no_index(tmp_path, catalogs, monkeypatch):
+    import skewlat.catalog
+
+    d = str(tmp_path / "cat3")
+    save_catalog(catalogs[3], d)
+    written = []
+    to_json_dict = skewlat.catalog.to_json_dict
+
+    def cut_short(s):
+        written.append(s)
+        if len(written) == 2:
+            raise KeyboardInterrupt
+        return to_json_dict(s)
+
+    monkeypatch.setattr(skewlat.catalog, "to_json_dict", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        save_catalog(catalogs[3], d)
+    assert not os.path.exists(os.path.join(d, "index.json"))
+
+
 def test_nc5_construction():
     for handed in ("right", "left"):
         s = nc5(handed)

@@ -78,6 +78,22 @@ def test_classify_with_assert(capsys, nc5_file):
     assert code == 2
 
 
+def test_classify_unknown_assert_exits_2_before_any_output(capsys, nc5_file):
+    code, out, err = run(capsys, "classify", nc5_file, "--assert", "nosuch")
+    assert (code, out) == (2, "")
+    assert "nosuch" in err
+
+
+def test_classify_asserts_a_predicate_it_does_not_print(capsys, nc5_file):
+    for asserted, expected in (("symmetric", 0), ("cancellative", 1)):
+        code, out, _ = run(
+            capsys, "classify", nc5_file,
+            "--predicates", "right-handed", "--assert", asserted,
+        )
+        assert code == expected
+        assert set(json.loads(out)) == {"right-handed"}
+
+
 def test_classify_subset(capsys, nc5_file):
     code, out, _ = run(
         capsys, "classify", nc5_file, "--predicates", "right-handed,symmetric"

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from skewlat.core import chain, direct_product, mirror, rectangular
 from skewlat.decompose import kimura
-from skewlat.errors import ArityTooLarge
+from skewlat.errors import ArityMismatch, ArityTooLarge
 from skewlat.varieties import (
+    JOIN,
+    MEET,
     PREDICATES,
     Identity,
     J,
     M,
+    Term,
     V,
     center,
     check_identity,
@@ -51,6 +54,93 @@ def test_identity_arity_cap(samples):
     ident = Identity(5, M(V(0), V(1)), M(V(2), M(V(3), V(4))), "too-wide")
     with pytest.raises(ArityTooLarge):
         check_identity(samples["chain3"], ident)
+
+
+def test_eval_term_rejects_a_short_assignment(samples):
+    with pytest.raises(ArityMismatch):
+        eval_term(samples["chain3"], M(V(0), J(V(1), V(2))), (0, 1))
+
+
+def test_identity_rejects_a_variable_at_the_arity():
+    with pytest.raises(ArityMismatch):
+        Identity(2, M(V(0), V(1)), M(V(0), V(2)), "x2-at-arity-2")
+
+
+def _terms(arity):
+    return st.recursive(
+        st.integers(0, arity - 1).map(V),
+        lambda sub: st.builds(
+            lambda op, a, b: Term(op, left=a, right=b),
+            st.sampled_from((MEET, JOIN)),
+            sub,
+            sub,
+        ),
+        max_leaves=6,
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_check_identity_matches_an_eval_term_scan(catalogs, samples, data):
+    # eval_term, one assignment at a time in itertools.product order, is the
+    # reference for the holds flag and the first counterexample
+    algebras = [s for cat in catalogs.values() for s in cat.algebras]
+    s = data.draw(st.sampled_from(algebras + list(samples.values())))
+    arity = data.draw(st.integers(1, 3))
+    lhs, rhs = data.draw(_terms(arity)), data.draw(_terms(arity))
+    expected = next(
+        (
+            (False, a)
+            for a in product(range(s.n), repeat=arity)
+            if eval_term(s, lhs, a) != eval_term(s, rhs, a)
+        ),
+        (True, None),
+    )
+    assert check_identity(s, Identity(arity, lhs, rhs, "drawn")) == expected
+
+
+def _classify_corpus(catalogs, nc5_right, nc5_left):
+    named = [
+        (f"order{n}-{i}", s)
+        for n, cat in sorted(catalogs.items())
+        for i, s in enumerate(cat.algebras)
+    ]
+    named += [("nc5-right", nc5_right), ("nc5-left", nc5_left)]
+    # each fails several of normal, conormal and the (quasi-)normal
+    # identities, so arity-3 and arity-4 witnesses of order 12 and 16 count
+    named += [
+        (
+            f"order{n}-{i}x{m}-{j}",
+            direct_product(catalogs[n].algebras[i], catalogs[m].algebras[j]),
+        )
+        for n, i, m, j in (
+            (3, 1, 4, 7),
+            (3, 2, 4, 9),
+            (4, 5, 4, 16),
+            (4, 7, 4, 8),
+            (4, 11, 4, 15),
+        )
+    ]
+    return named
+
+
+# sha256 of classify(s).to_dict(), every predicate's verdict and witness,
+# over the corpus above; a change to identity checking must not move one
+CLASSIFY_SHA256 = (
+    "4801c8f82d4f0a9280b5242323f6a1d8aa813c4eed41bde4b31cf12ecf9e92b3"
+)
+
+
+def test_classify_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
+    import hashlib
+    import json
+
+    docs = [
+        [name, classify(s).to_dict()]
+        for name, s in _classify_corpus(catalogs, nc5_right, nc5_left)
+    ]
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SHA256
 
 
 def test_chain_classification():
