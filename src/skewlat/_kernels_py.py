@@ -14,9 +14,10 @@ from itertools import permutations
 
 
 def assoc_witness(flat, n):
-    """First (x, y, z) violating associativity, or None.  No library code
-    calls it (`core.validate` keeps a nested-row copy, faster there); the
-    benchmark's kernel loop times it."""
+    """First (x, y, z) violating associativity, or None, by a scalar scan
+    of a flat table.  No library code calls it: `core.validate` scans its
+    nested rows a row at a time instead.  The benchmark's kernel loop
+    times it."""
     for x in range(n):
         row_x = x * n
         for y in range(n):

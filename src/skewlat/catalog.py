@@ -131,6 +131,7 @@ def _naive_bands(n):
         t = [[i] * n for i in range(n)]
         for (i, j), v in zip(cells, vals):
             t[i][j] = v
+        t = tuple(map(tuple, t))
         if _assoc_witness(t, n) is None:
             bands.append(t)
     return bands

@@ -9,6 +9,7 @@ error, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -391,10 +392,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of every `main` call, built on the first one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import wraps
+from operator import itemgetter
 
 from .errors import (
     CapExceeded,
@@ -137,14 +138,42 @@ class ValidationReport:
         }
 
 
-# kept on purpose: kernels.assoc_witness plus a flat() copy is slower here
 def _assoc_witness(t, n):
+    """The lexicographically first (x, y, z) with (xy)z != x(yz), or None.
+
+    t has tuple rows and is scanned a row at a time: for each (x, y), row
+    xy is compared with z -> x(yz), which the getter of row y reads out of
+    row x, and z is scanned only for a pair whose rows differ.  (At n = 1
+    a getter returns a bare entry, so that pair is always rescanned.)
+    `_kernels_py.assoc_witness` is the flat-table scalar scan that the
+    benchmark's kernel loop times."""
+    gets = [itemgetter(*row) for row in t]
     for x in range(n):
+        tx = t[x]
         for y in range(n):
-            for z in range(n):
-                if t[t[x][y]][z] != t[x][t[y][z]]:
-                    return (x, y, z)
+            row = t[tx[y]]
+            if row != gets[y](tx):
+                ty = t[y]
+                for z in range(n):
+                    if row[z] != tx[ty[z]]:
+                        return (x, y, z)
     return None
+
+
+def _regular(t, n):
+    """Whether xyxzx = xyzx for all x, y, z, a row at a time: for each
+    (x, y), rows xyx and xy of t, each mapped through column x, must be
+    equal; a pair with xyx == xy holds trivially."""
+    gets = [itemgetter(*row) for row in t]
+    for x in range(n):
+        tx = t[x]
+        col = tuple(row[x] for row in t)
+        for y in range(n):
+            xy = tx[y]
+            xyx = t[xy][x]
+            if xyx != xy and gets[xyx](col) != gets[xy](col):
+                return False
+    return True
 
 
 def validate(meet, join) -> ValidationReport:
@@ -193,21 +222,8 @@ def validate(meet, join) -> ValidationReport:
                 break
 
     report = ValidationReport(valid=not failures, failures=failures)
-
-    # kept on purpose: _kernels_py._is_regular plus a flat() copy is slower here
-    def regular(t):
-        # xyxzx = xyzx on all triples
-        for x in range(n):
-            for y in range(n):
-                xy = t[x][y]
-                xyx = t[xy][x]
-                for z in range(n):
-                    if t[t[xyx][z]][x] != t[t[xy][z]][x]:
-                        return False
-        return True
-
-    report.meet_regular = regular(mt)
-    report.join_regular = regular(jt)
+    report.meet_regular = _regular(mt, n)
+    report.join_regular = _regular(jt, n)
     return report
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 
 from .core import SkewLattice, _cached, validate
 from .errors import (
@@ -90,35 +91,16 @@ class PrimeFieldMatrix:
 
     def __add__(self, other):
         self._compat(other)
-        return PrimeFieldMatrix(
-            self.p,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        return _matrix(self.p, self.dim, _add(_flat(self), _flat(other), self.p))
 
     def __sub__(self, other):
         self._compat(other)
-        return PrimeFieldMatrix(
-            self.p,
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        return _matrix(self.p, self.dim, _sub(_flat(self), _flat(other), self.p))
 
     def __matmul__(self, other):
         self._compat(other)
-        n = self.dim
-        a, b = self.entries, other.entries
-        return PrimeFieldMatrix(
-            self.p,
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            ),
-        )
+        n, p = self.dim, self.p
+        return _matrix(p, n, _mul(_flat(self), _flat(other), n, p))
 
     @_cached
     def is_idempotent(self) -> bool:
@@ -133,6 +115,62 @@ class PrimeFieldMatrix:
         return {"p": self.p, "dim": self.dim, "rows": [list(r) for r in self.entries]}
 
 
+# --- residue kernels -------------------------------------------------------
+# The one implementation of GF(p) arithmetic.  A matrix is a flat row-major
+# tuple of its n*n residues mod p, and every kernel returns reduced residues.
+
+
+def _flat(m: PrimeFieldMatrix) -> tuple:
+    return tuple(chain.from_iterable(m.entries))
+
+
+def _matrix(p, n, flat) -> PrimeFieldMatrix:
+    """The PrimeFieldMatrix of the reduced residues `flat`, built without
+    the constructor's checks: callers have checked modulus and shape."""
+    m = object.__new__(PrimeFieldMatrix)
+    object.__setattr__(m, "p", p)
+    object.__setattr__(
+        m, "entries", tuple(flat[i:i + n] for i in range(0, n * n, n))
+    )
+    return m
+
+
+def _add(a, b, p):
+    return tuple([(u + v) % p for u, v in zip(a, b)])
+
+
+def _sub(a, b, p):
+    return tuple([(u - v) % p for u, v in zip(a, b)])
+
+
+def _mul(a, b, n, p):
+    cols = [b[j::n] for j in range(n)]
+    return tuple(
+        [sum(map(mul, a[i:i + n], c)) % p for i in range(0, n * n, n) for c in cols]
+    )
+
+
+def _nablas(x, y, xy, yx, check, n, p):
+    """(nabla(x, y), nabla(y, x)) of flat x and y, from their products
+    xy and yx.  If `check`, each is cross-checked against its quintic form,
+    nabla(x, y) = x + y + yx - xyx - yxy, in one pass over the entries; the
+    two checks share xyx and yxy.  The form holds when x, y, xy and yx are
+    idempotent: squaring x + y - xy leaves x + y + yx - xyx - yxy plus
+    xyxy - xy."""
+    s = _add(x, y, p)
+    cxy, cyx = _sub(s, xy, p), _sub(s, yx, p)  # circle(x, y), circle(y, x)
+    sq_xy, sq_yx = _mul(cxy, cxy, n, p), _mul(cyx, cyx, n, p)
+    if check:
+        xyx, yxy = _mul(xy, x, n, p), _mul(yx, y, n, p)
+        for sq, other in ((sq_xy, yx), (sq_yx, xy)):
+            if any(
+                (a + b - c - d - e) % p
+                for a, b, c, d, e in zip(s, other, xyx, yxy, sq)
+            ):
+                raise InternalInconsistency("nabla expansion mismatch")
+    return sq_xy, sq_yx
+
+
 def circle(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """x + y - xy."""
     return x + y - x @ y
@@ -140,22 +178,13 @@ def circle(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:
 
 def nabla(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """(x + y - xy)^2, cross-checked against its expanded quintic form
-    x + y + yx - xyx - yxy (valid for idempotent x, y)."""
-    return _nablas(x, y, x @ y, y @ x)[0]
-
-
-def _nablas(x, y, xy, yx):
-    """(nabla(x, y), nabla(y, x)) from the products xy = x @ y and
-    yx = y @ x, each cross-checked as `nabla` is; the two checks share
-    xyx and yxy."""
-    s = x + y
-    cxy, cyx = s - xy, s - yx  # circle(x, y), circle(y, x)
-    sq_xy, sq_yx = cxy @ cxy, cyx @ cyx
-    if x.is_idempotent() and y.is_idempotent():
-        xyx, yxy = xy @ x, yx @ y
-        if sq_xy != s + yx - xyx - yxy or sq_yx != s + xy - yxy - xyx:
-            raise InternalInconsistency("nabla expansion mismatch")
-    return sq_xy, sq_yx
+    x + y + yx - xyx - yxy (valid when x, y, xy and yx are idempotent)."""
+    x._compat(y)
+    n, p = x.dim, x.p
+    fx, fy = _flat(x), _flat(y)
+    xy, yx = _mul(fx, fy, n, p), _mul(fy, fx, n, p)
+    check = all(_mul(f, f, n, p) == f for f in (fx, fy, xy, yx))
+    return _matrix(p, n, _nablas(fx, fy, xy, yx, check, n, p)[0])
 
 
 @dataclass(frozen=True)
@@ -180,25 +209,31 @@ def closure(
     """Least set of matrices containing the generators and closed under
     multiplication and nabla, validated as a skew lattice.  Each round
     visits each unordered pair once and forms each of its products, x @ y,
-    y @ x, nabla(x, y) and nabla(y, x), exactly once."""
+    y @ x, nabla(x, y) and nabla(y, x), exactly once, on flat residue
+    tuples.  ClosureExceedsCap as soon as more than `cap` elements are
+    found."""
     gens = list(generators)
     if not gens:
         raise DimensionMismatch("need at least one generator")
-    for i, g in enumerate(gens):
-        if not g.is_idempotent():
-            raise NotIdempotent(f"generator {i} is not idempotent")
-    elems = []
+    n, p = gens[0].dim, gens[0].p
+    elems = []  # flat residue tuples, in the order found
+    idem = []  # whether elems[i] is idempotent, decided once per element
     index = {}
 
-    def index_of(m):
-        i = index.get(m)
+    def index_of(f):
+        i = index.get(f)
         if i is None:
-            i = index[m] = len(elems)
-            elems.append(m)
+            i = index[f] = len(elems)
+            elems.append(f)
+            idem.append(_mul(f, f, n, p) == f)
+            if len(elems) > cap:
+                raise ClosureExceedsCap(f"closure exceeds {cap} elements")
         return i
 
-    for g in gens:
-        index_of(g)
+    for k, g in enumerate(gens):
+        gens[0]._compat(g)
+        if not idem[index_of(_flat(g))]:
+            raise NotIdempotent(f"generator {k} is not idempotent")
     # Breadth-first: each round visits every unordered pair {x, y} whose
     # later element was found in the previous round (lo..hi) once, and
     # forms both products and both nablas of it, so each product is formed
@@ -214,23 +249,22 @@ def closure(
             x = elems[i]
             for j in chain(range(lo), range(i, hi)):
                 y = elems[j]
-                xy, yx = x @ y, y @ x
-                meet[i, j] = index_of(xy)
-                meet[j, i] = index_of(yx)
-                nxy, nyx = _nablas(x, y, xy, yx)
+                xy, yx = _mul(x, y, n, p), _mul(y, x, n, p)
+                ixy = meet[i, j] = index_of(xy)
+                iyx = meet[j, i] = index_of(yx)
+                check = idem[i] and idem[j] and idem[ixy] and idem[iyx]
+                nxy, nyx = _nablas(x, y, xy, yx, check, n, p)
                 join[i, j] = index_of(nxy)
                 join[j, i] = index_of(nyx)
-        if len(elems) > cap:
-            raise ClosureExceedsCap(f"closure exceeds {cap} elements")
         lo = hi
-    n = len(elems)
-    meet = [[meet[i, j] for j in range(n)] for i in range(n)]
-    join = [[join[i, j] for j in range(n)] for i in range(n)]
+    size = len(elems)
+    meet = [[meet[i, j] for j in range(size)] for i in range(size)]
+    join = [[join[i, j] for j in range(size)] for i in range(size)]
     report = validate(meet, join)
     if not report.valid:
         raise NotASkewLattice(report)
     return MatrixSkewLattice(
-        elements=tuple(elems),
+        elements=tuple(_matrix(p, n, f) for f in elems),
         abstract=SkewLattice(meet, join),
         origin=origin,
     )
@@ -360,11 +394,11 @@ def primitive_right_handed(
     msl = _primitive(p, block_dims, a_params, b_params, "right")
     # in the right-handed case nabla reduces to circle x + y - xy; the
     # meet and join tables already hold the indices of xy and nabla(x, y)
-    elems = msl.elements
+    elems = [_flat(m) for m in msl.elements]
     meet, join = msl.abstract.meet.entries, msl.abstract.join.entries
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
-            if elems[join[i][j]] != x + y - elems[meet[i][j]]:
+            if elems[join[i][j]] != _sub(_add(x, y, p), elems[meet[i][j]], p):
                 raise InternalInconsistency("nabla differs from circle")
     return msl
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from skewlat import __version__
+from skewlat import __version__, cli, matrix_rings
 from skewlat.catalog import canonical, nc5
 from skewlat.cli import main
 from skewlat.core import SkewLattice, chain, rectangular, to_json
@@ -267,6 +267,91 @@ def test_matrix_sweep_stdout_is_pinned(capsys, construction, digest):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "p, construction, digest",
+    [
+        (3, "right", "544c0802417b23c1f07e5520d1870e1383db28ec433d2bc7f9fa8ed99241e729"),
+        (3, "left", "4761272365ab70950eef23eb732c6c904b0371f8396f30f7bbe71f285729b9cc"),
+        (7, "right", "c41dfb796a8415ec98293467b85bdc871114412e6ea8a98ec90605347c2ac194"),
+        (7, "left", "44ca362420a480d2fb3d453ffe23bf34f7fd3ccee21ec7eaf75289c8a9e15ea2"),
+    ],
+)
+def test_matrix_sweep_stdout_is_pinned_at_gf3_and_gf7(capsys, p, construction, digest):
+    code, out, _ = run(
+        capsys, "matrix", "--p", str(p), "--construction", construction, "--sweep"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_matrix_sweep_over_the_cap_exits_before_any_pair_product(capsys, monkeypatch):
+    calls = []
+    kernel = matrix_rings._mul
+
+    def counting(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(matrix_rings, "_mul", counting)
+    code, out, err = run(
+        capsys, "matrix", "--p", "17", "--construction", "right", "--sweep"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: closure exceeds 512 elements\n"
+    # 580 generators, 578 of them distinct: the cap is passed while they
+    # are indexed, after one idempotency test per element found
+    assert len(calls) == 513
+
+
+def test_main_builds_its_parser_once(capsys, nc5_file, broken_file):
+    argvs = [
+        ["validate", nc5_file],
+        ["classify", nc5_file],
+        ["enumerate"],  # --order missing: usage error
+        ["matrix", "--p", "3", "--sweep"],
+        ["validate", broken_file],
+        ["no-such-command"],
+        ["export", nc5_file, "--format", "dot"],
+        ["greens", nc5_file],
+    ]
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 1, 2, 0, 0]
+
+
+def _variants(s):
+    """s, its meet paired with itself, and s with one meet cell moved:
+    valid, absorption-failing and (mostly) non-associative tables."""
+    n = s.n
+    meet = [list(r) for r in s.meet.entries]
+    join = [list(r) for r in s.join.entries]
+    moved = [list(r) for r in meet]
+    moved[n - 1][0] = (moved[n - 1][0] + 1) % n
+    return [(meet, join), (meet, meet), (moved, join)]
+
+
+def test_validate_json_of_the_catalog_is_pinned(capsys, tmp_path, catalogs):
+    # digest of every exit code and report, computed before validate's
+    # scans went row at a time
+    h = hashlib.sha256()
+    for order, cat in sorted(catalogs.items()):
+        for k, s in enumerate(cat.algebras):
+            for v, (meet, join) in enumerate(_variants(s)):
+                path = tmp_path / f"o{order}-{k}-{v}.json"
+                path.write_text(json.dumps({"n": order, "meet": meet, "join": join}))
+                code, out, _ = run(capsys, "validate", str(path))
+                h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == (
+        "e9aa0c7004379483700772bce7f7ca00e1eb176ddb0c0ef0e1df371afbacfe8a"
+    )
 
 
 _RAGGED = {"n": 2, "meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]]}

@@ -126,3 +126,101 @@ def test_regularity_follows_from_axioms(catalogs):
         for s in cat.algebras:
             rep = validate(s.meet.entries, s.join.entries)
             assert rep.valid and rep.meet_regular and rep.join_regular
+
+
+def _validate_by_triple_loops(mt, jt):
+    """validate's report computed by scalar triple loops over every (x, y,
+    z): the reference for its row-at-a-time scans."""
+    n = len(mt)
+    failures = []
+    for name, t in (("meet-idempotency", mt), ("join-idempotency", jt)):
+        for x in range(n):
+            if t[x][x] != x:
+                failures.append((name, (x,)))
+                break
+
+    def assoc_witness(t):
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if t[t[x][y]][z] != t[x][t[y][z]]:
+                        return (x, y, z)
+        return None
+
+    for name, t in (("meet-associativity", mt), ("join-associativity", jt)):
+        w = assoc_witness(t)
+        if w is not None:
+            failures.append((name, w))
+    absorptions = (
+        ("absorption-meet-left", lambda x, y: mt[x][jt[x][y]] == x),
+        ("absorption-meet-right", lambda x, y: mt[jt[y][x]][x] == x),
+        ("absorption-join-left", lambda x, y: jt[x][mt[x][y]] == x),
+        ("absorption-join-right", lambda x, y: jt[mt[y][x]][x] == x),
+    )
+    for name, law in absorptions:
+        w = next(((x, y) for x in range(n) for y in range(n) if not law(x, y)), None)
+        if w is not None:
+            failures.append((name, w))
+
+    def regular(t):
+        return all(
+            t[t[t[t[x][y]][x]][z]][x] == t[t[t[x][y]][z]][x]
+            for x in range(n) for y in range(n) for z in range(n)
+        )
+
+    return {
+        "valid": not failures,
+        "failures": [[name, list(w)] for name, w in failures],
+        "meet_regular": regular(mt),
+        "join_regular": regular(jt),
+    }
+
+
+# operations on 0..n-1; the relabelled cyclic group and multiplicative
+# monoid are associative but not regular, the others are bands
+_OPERATIONS = (
+    lambda x, y, n: (x + y) % n,
+    lambda x, y, n: x * y % n,
+    lambda x, y, n: min(x, y),
+    lambda x, y, n: max(x, y),
+    lambda x, y, n: x,
+    lambda x, y, n: y,
+    lambda x, y, n: 0,
+)
+
+
+@st.composite
+def _table_pairs(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.integers(0, n - 1)
+
+    def relabelled(op):
+        perm = draw(st.permutations(range(n)))
+        t = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                t[perm[x]][perm[y]] = perm[op(x, y, n)]
+        return t
+
+    kind = draw(st.sampled_from(["random", "operations", "algebra"]))
+    if kind == "random":
+        meet, join = ([[draw(entry) for _ in range(n)] for _ in range(n)]
+                      for _ in range(2))
+    elif kind == "operations":
+        meet, join = (relabelled(draw(st.sampled_from(_OPERATIONS)))
+                      for _ in range(2))
+    else:
+        l = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        s = draw(st.sampled_from([chain(n), rectangular(l, n // l)]))
+        meet, join = ([list(r) for r in t.entries] for t in (s.meet, s.join))
+    for _ in range(draw(st.integers(0, 2))):
+        t = draw(st.sampled_from([meet, join]))
+        t[draw(entry)][draw(entry)] = draw(entry)
+    return meet, join
+
+
+@given(_table_pairs())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_the_triple_loops(tables):
+    meet, join = tables
+    assert validate(meet, join).to_dict() == _validate_by_triple_loops(meet, join)

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlat import cosets
+from skewlat import cosets, matrix_rings
 
 from skewlat.errors import (
     ClosureExceedsCap,
     DimensionMismatch,
+    FieldMismatch,
+    InternalInconsistency,
     NotAPrimeField,
+    NotASkewLattice,
     NotIdempotent,
     NotInStandardForm,
 )
@@ -34,6 +37,37 @@ DIMS = (1, 1, 1)
 
 def _scalar_pairs(p):
     return [(((x,),), ((y,),)) for x in range(p) for y in range(p)]
+
+
+# reference GF(p) arithmetic on nested lists, sharing no code with the
+# library's residue kernels
+def _ref_mul(a, b, p):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _ref_lin(a, b, sign, p):
+    return [[(u + sign * v) % p for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _rows(m):
+    return tuple(tuple(r) for r in m)
+
+
+def _counting_mul(monkeypatch):
+    """Count the calls of the flat matrix-product kernel."""
+    calls = []
+    kernel = matrix_rings._mul
+
+    def counting(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(matrix_rings, "_mul", counting)
+    return calls
 
 
 def test_prime_field_rejects_composites():
@@ -90,13 +124,70 @@ def test_closure_rejects_non_idempotent():
         closure([bad])
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     gens = [upper_class_matrix(5, DIMS), lower_class_matrix(5, DIMS)]
     for x, y in product(range(5), repeat=2):
         gens.append(upper_class_matrix(5, DIMS, ((x,),), ((y,),)))
         gens.append(lower_class_matrix(5, DIMS, ((x,),), ((y,),)))
-    with pytest.raises(ClosureExceedsCap):
+    calls = _counting_mul(monkeypatch)
+    with pytest.raises(ClosureExceedsCap, match="closure exceeds 3 elements"):
         closure(gens, cap=3)
+    # it fails as soon as the count passes the cap: one idempotency test
+    # for each of the cap + 1 elements found, and no pair multiplied
+    assert len(calls) == 4
+
+
+def test_closure_rejects_mixed_moduli_and_sizes():
+    with pytest.raises(FieldMismatch):
+        closure([upper_class_matrix(3, DIMS), upper_class_matrix(5, DIMS)])
+    with pytest.raises(DimensionMismatch):
+        closure([upper_class_matrix(3, DIMS), upper_class_matrix(3, (1, 1, 2))])
+
+
+def test_closure_with_a_non_idempotent_product_is_not_a_skew_lattice():
+    # both generators are idempotent, their product e @ g is not; the
+    # quintic cross-check does not apply to it, and the closure fails
+    # validation instead of reporting an internal inconsistency
+    e = PrimeFieldMatrix(3, ((1, 0), (0, 0)))
+    g = PrimeFieldMatrix(3, ((2, 2), (2, 2)))
+    assert e.is_idempotent() and g.is_idempotent()
+    assert not (e @ g).is_idempotent()
+    with pytest.raises(NotASkewLattice):
+        closure([e, g])
+
+
+def test_quintic_cross_check_catches_a_wrong_nabla():
+    p, n = 3, 3
+    a = matrix_rings._flat(upper_class_matrix(p, DIMS, ((1,),), ((2,),)))
+    b = matrix_rings._flat(lower_class_matrix(p, DIMS, ((2,),), ((1,),)))
+    ab, ba = matrix_rings._mul(a, b, n, p), matrix_rings._mul(b, a, n, p)
+    matrix_rings._nablas(a, b, ab, ba, True, n, p)
+    wrong = ((ab[0] + 1) % p,) + ab[1:]
+    with pytest.raises(InternalInconsistency):
+        matrix_rings._nablas(a, b, wrong, ba, True, n, p)
+    matrix_rings._nablas(a, b, wrong, ba, False, n, p)
+
+
+def _entries(n):
+    return st.lists(
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_operators_match_the_checked_constructor(p, n, data):
+    a, b = data.draw(_entries(n)), data.draw(_entries(n))
+    x, y = PrimeFieldMatrix(p, _rows(a)), PrimeFieldMatrix(p, _rows(b))
+    for got, ref in (
+        (x @ y, _ref_mul(a, b, p)),
+        (x + y, _ref_lin(a, b, 1, p)),
+        (x - y, _ref_lin(a, b, -1, p)),
+    ):
+        want = PrimeFieldMatrix(p, _rows(ref))
+        assert got == want and hash(got) == hash(want)
+        assert got.entries == want.entries == _rows(ref)
 
 
 def test_right_handed_model_gf3():
@@ -187,35 +278,31 @@ _GROWING = ([(((1,),), ((1,),))], [(((1,),), ((2,),))])
     "params", [(_scalar_pairs(3), _scalar_pairs(3)), _GROWING], ids=["sweep", "growing"]
 )
 def test_closure_join_table_squares_the_circle(build, params):
-    # reference independent of nabla and of the closure's shared products:
-    # square x + y - xy inline
-    msl = build(3, DIMS, *params)
-    elems = msl.elements
+    # reference independent of nabla and of the residue kernels: square
+    # x + y - xy inline, in nested-list arithmetic mod p
+    p = 3
+    msl = build(p, DIMS, *params)
+    elems = [m.entries for m in msl.elements]
     idx = {m: i for i, m in enumerate(elems)}
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
-            c = x + y - x @ y
-            assert msl.abstract.meet[i][j] == idx[x @ y]
-            assert msl.abstract.join[i][j] == idx[c @ c]
+            xy = _ref_mul(x, y, p)
+            c = _ref_lin(_ref_lin(x, y, 1, p), xy, -1, p)
+            assert msl.abstract.meet[i][j] == idx[_rows(xy)]
+            assert msl.abstract.join[i][j] == idx[_rows(_ref_mul(c, c, p))]
 
 
 @pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
 def test_gf5_sweep_forms_each_product_once(monkeypatch, build):
-    calls = []
-    matmul = PrimeFieldMatrix.__matmul__
-
-    def counting_matmul(x, y):
-        calls.append(None)
-        return matmul(x, y)
-
-    monkeypatch.setattr(PrimeFieldMatrix, "__matmul__", counting_matmul)
+    calls = _counting_mul(monkeypatch)
     pairs = _scalar_pairs(5)
     msl = build(5, DIMS, pairs, pairs)
     n, gens = len(msl.elements), 2 + 2 * len(pairs)
     assert n == 50
     # per unordered pair: x @ y, y @ x, the two nabla squares and the xyx
-    # and yxy their quintic checks share; one idempotency test per
-    # generator (the sweep's generators are all its elements)
+    # and yxy their quintic checks share; one idempotency test per element,
+    # so at most one per generator (the sweep's generators are all its
+    # elements)
     assert len(calls) <= 3 * n * (n + 1) + gens
 
 
