@@ -5,9 +5,12 @@ The search fills the meet table cell by cell, keeping only the D-ordered
 labellings of each band (labels rise along the D-order and each D-class is
 a contiguous label range, see `meet_tables`), then completes the join
 table from the absorption pins, filtering candidates by the two
-meet-absorption laws.  Associativity and the D-order are re-checked only
-on what the cell just assigned can decide, and `canonical_pair` abandons a
-relabeling at the first row that exceeds the best key so far.
+meet-absorption laws.  The meet cells are filled in pairs, each (i, j)
+directly followed by (j, i) (see `_cells`), so the D-order between i and
+j, which reads both, is decided as early as it can be.  Associativity and
+the D-order are re-checked only on what the cell just assigned can decide,
+and `canonical_pair` abandons a relabeling at the first row that exceeds
+the best key so far.
 """
 
 from itertools import permutations
@@ -131,6 +134,13 @@ def _is_regular(t, n):
     return True
 
 
+def _cells(n):
+    """The fill order of `meet_tables`: the off-diagonal cells in pairs,
+    (0, 1), (1, 0), (0, 2), (2, 0), ..., (0, n-1), (n-1, 0), (1, 2), ...,
+    so that condition (A) on {i, j} is decidable right after the pair."""
+    return [c for i in range(n) for j in range(i + 1, n) for c in ((i, j), (j, i))]
+
+
 def meet_tables(n, prefix=None):
     """Every D-ordered band of order n: the idempotent, associative,
     regular n-tables, as flat tuples, whose labels satisfy
@@ -149,12 +159,13 @@ def meet_tables(n, prefix=None):
     the minimum over all relabelings, so a catalog built from these tables
     is the one built from all labellings.
 
-    (A) is checked after each cell on the pairs that cell can decide,
-    (B) at the leaf.  `prefix`, when given, fixes the off-diagonal cells of
-    row 0 (a tuple of n-1 values), under the same checks; used to split
-    the search across workers.
+    The cells are filled in the order of `_cells`.  (A) is checked after
+    each cell on the pairs that cell can decide, (B) at the leaf.
+    `prefix`, when given, is a tuple of values that fixes the first n-1
+    cells of that order, under the same checks; used to split the search
+    across workers.
     """
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    cells = _cells(n)
     t = [-1] * (n * n)
     for i in range(n):
         t[i * n + i] = i

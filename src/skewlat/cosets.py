@@ -22,32 +22,38 @@ from .greens import dclass_order, green_L, green_R, natural_order
 
 def right_coset_meet(s, C, x):
     """x ^ C = {x ^ c}."""
-    return frozenset(s.m(x, c) for c in C)
+    row = s.meet.entries[x]
+    return frozenset(row[c] for c in C)
 
 
 def left_coset_meet(s, C, x):
     """C ^ x = {c ^ x}."""
-    return frozenset(s.m(c, x) for c in C)
+    t = s.meet.entries
+    return frozenset(t[c][x] for c in C)
 
 
 def full_coset_meet(s, C, x):
     """C ^ x ^ C = {c ^ x ^ c}."""
-    return frozenset(s.m(c, x, c) for c in C)
+    t = s.meet.entries
+    return frozenset(t[t[c][x]][c] for c in C)
 
 
 def right_coset_join(s, C, x):
     """C v x = {c v x}."""
-    return frozenset(s.j(c, x) for c in C)
+    t = s.join.entries
+    return frozenset(t[c][x] for c in C)
 
 
 def left_coset_join(s, C, x):
     """x v C = {x v c}."""
-    return frozenset(s.j(x, c) for c in C)
+    row = s.join.entries[x]
+    return frozenset(row[c] for c in C)
 
 
 def full_coset_join(s, C, x):
     """C v x v C = {c v x v c}."""
-    return frozenset(s.j(c, x, c) for c in C)
+    t = s.join.entries
+    return frozenset(t[t[c][x]][c] for c in C)
 
 
 # flavor -> (coset function, "meet" or "join").  Meet cosets are taken of

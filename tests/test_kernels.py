@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlat import _kernels_py, kernels
-from skewlat.catalog import _naive_bands, nc5
+from skewlat.catalog import _naive_bands, _prefixes, nc5
 from skewlat.core import chain, direct_product, rectangular
 
 IMPLS = [_kernels_py]
@@ -100,17 +100,68 @@ def _d_leq(t, n, x, y):
     return t[t[x * n + y] * n + x] == x
 
 
+def _d_ordered_labelling(t, n):
+    """(A) and (B) of `meet_tables` on a full band, written from x.y.x
+    alone: a labelled cross-check that shares no code with the search."""
+    for x, y in product(range(n), repeat=2):
+        if x > y and _d_leq(t, n, x, y) and not _d_leq(t, n, y, x):
+            return False
+        if x < y and _d_leq(t, n, x, y) and _d_leq(t, n, y, x):
+            for z in range(x + 1, y):
+                if not (_d_leq(t, n, z, x) and _d_leq(t, n, x, z)):
+                    return False
+    return True
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_search_output_is_d_ordered(order):
-    # a labelled cross-check of (A) and (B), written from x.y.x alone
+    for t in _bands(order):
+        assert _d_ordered_labelling(t, order), t
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_search_finds_every_d_ordered_labelling(order):
+    # Completeness whatever the fill order: of all labelled bands, the
+    # search must keep exactly the labellings that satisfy (A) and (B).  A
+    # search that lost one labelling of a band but kept another would still
+    # pass the orbit counts of test_search_size.
     n = order
-    for t in _bands(n):
-        for x, y in product(range(n), repeat=2):
-            below = _d_leq(t, n, x, y) and not _d_leq(t, n, y, x)
-            assert not (below and x > y), (t, x, y)
-            if x < y and _d_leq(t, n, x, y) and _d_leq(t, n, y, x):
-                for z in range(x + 1, y):
-                    assert _d_leq(t, n, z, x) and _d_leq(t, n, x, z), (t, x, y, z)
+    wanted = {t for t in _labelled_bands(n) if _d_ordered_labelling(t, n)}
+    assert wanted == set(_bands(n))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_worker_prefixes_partition_the_search(order):
+    # `prefix` fixes the first n - 1 cells of the fill order: the prefixed
+    # searches list each band exactly once, under its own values there.
+    n = order
+    head = [i * n + j for i, j in _kernels_py._cells(n)[: n - 1]]
+    seen = {}
+    for p in _prefixes(n):
+        for t in _kernels_py.meet_tables(n, p):
+            assert t not in seen, (t, seen.get(t), p)
+            assert tuple(t[pos] for pos in head) == p, (t, p)
+            seen[t] = p
+    assert set(seen) == set(_bands(n))
+
+
+@pytest.mark.parametrize("order,nodes", [(4, 898), (5, 16792)])
+def test_search_node_count(order, nodes, monkeypatch):
+    # A node is the root plus each cell assignment that passes both checks;
+    # `_d_ordered_at` runs only after `_assoc_ok_at` has passed, so its True
+    # returns count the nodes.  This gate fixes the size of the search tree,
+    # which the fill order decides, where test_search_size fixes its output.
+    passed = []
+    d_ordered_at = _kernels_py._d_ordered_at
+
+    def counted(t, n, pos):
+        ok = d_ordered_at(t, n, pos)
+        passed.append(ok)
+        return ok
+
+    monkeypatch.setattr(_kernels_py, "_d_ordered_at", counted)
+    _kernels_py.meet_tables(order)
+    assert 1 + sum(passed) == nodes
 
 
 def _assoc_ok_rescan(t, n):
