@@ -21,11 +21,11 @@ from .core import (
 )
 from .errors import (
     InconsistentCosetData,
+    InternalInconsistency,
     MalformedInput,
     OrderTooLarge,
     SkewLatticeError,
 )
-from .greens import green_D, green_L, green_R
 from .kernels import canonical_pair, join_completions, meet_tables
 
 PRUNED_MAX_ORDER = 6
@@ -63,22 +63,9 @@ def check_order_cap(order: int, method: str = "pruned-search"):
         raise OrderTooLarge(f"{method.replace('-', ' ')} capped at order {cap}")
 
 
-def _invariants(s: SkewLattice):
-    d = green_D(s)
-    r = green_R(s)
-    l = green_L(s)
-    shapes = []
-    for blk in d.blocks:
-        members = [x for x in range(s.n) if blk >> x & 1]
-        rows = len({r.block_of[x] for x in members})
-        cols = len({l.block_of[x] for x in members})
-        shapes.append((len(members), rows, cols))
-    return tuple(sorted(shapes))
-
-
 def isomorphic(a: SkewLattice, b: SkewLattice):
     """A table-preserving bijection from a to b, or None."""
-    if a.n != b.n or _invariants(a) != _invariants(b):
+    if a.n != b.n:
         return None
     n = a.n
     cma, cja, pa = canonical_pair(a.meet.flat(), a.join.flat(), n)
@@ -91,8 +78,6 @@ def isomorphic(a: SkewLattice, b: SkewLattice):
     for i, v in enumerate(pb):
         inv_pb[v] = i
     perm = tuple(inv_pb[pa[i]] for i in range(n))
-    from .errors import InternalInconsistency
-
     for x in range(n):
         for y in range(n):
             if perm[a.meet[x][y]] != b.meet[perm[x]][perm[y]] or perm[
@@ -144,9 +129,7 @@ def enumerate_catalog(
     in canonical form, sorted; identical output for any worker count."""
     check_order_cap(order, method)
     if method == "pruned-search":
-        if order == 1:
-            found = {(mt, jt) for mt in meet_tables(1) for jt in join_completions(mt, 1)}
-        elif workers <= 1:
+        if workers <= 1:
             found = set()
             for prefix in _prefixes(order):
                 found |= _search_task((order, prefix))

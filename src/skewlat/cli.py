@@ -230,17 +230,14 @@ def cmd_matrix(args):
     )
     msl = build(args.p, dims, a_params, b_params)
     report = matrix_rings.matrix_coset_remark_check(msl, dims)
-    factored = 0
+    # raises NotInStandardForm unless m == m_L @ m_R
     for m in msl.elements:
-        lo, hi = matrix_rings.triangular_factorization(m, dims)
-        if lo @ hi != m:
-            raise InternalInconsistency("triangular factorization mismatch")
-        factored += 1
+        matrix_rings.triangular_factorization(m, dims)
     _emit(
         {
             "model": msl.to_json_dict(),
             "coset_report": report.to_json_dict(),
-            "factorizations_verified": factored,
+            "factorizations_verified": len(msl.elements),
         }
     )
     _info(

@@ -22,7 +22,8 @@ from .errors import (
     SkewLatticeError,
 )
 
-# Default cap keeps every element subset inside one machine word.
+# The largest order that `rectangular`, `chain` and `direct_product` build:
+# it bounds the n-by-n tables they fill.
 CAP = 64
 
 

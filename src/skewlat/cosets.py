@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits
 from .core import SkewLattice
 from .decompose import kimura
 from .errors import ElementNotInClass, InternalInconsistency
@@ -105,12 +104,7 @@ def comparable_pairs(s: SkewLattice):
     for i in range(k):
         for j in range(k):
             if i != j and leq[j][i]:  # class j below class i
-                out.append(
-                    DClassPair(
-                        upper=frozenset(bits(d.blocks[i])),
-                        lower=frozenset(bits(d.blocks[j])),
-                    )
-                )
+                out.append(DClassPair(upper=d.blocks[i], lower=d.blocks[j]))
     out.sort(key=lambda p: (min(p.upper), min(p.lower)))
     return out
 
@@ -197,11 +191,11 @@ def image_sets(s: SkewLattice, pair: DClassPair, x: int) -> frozenset:
     order = natural_order(s)
     if x in A:
         img = frozenset(s.m(x, b, x) for b in B)
-        by_order = frozenset(b for b in B if order[x] >> b & 1 and b != x)
+        by_order = frozenset(b for b in B if b in order[x] and b != x)
         blocks = _blocks(full_coset_meet(s, A, b) for b in B)
     elif x in B:
         img = frozenset(s.j(x, a, x) for a in A)
-        by_order = frozenset(a for a in A if order[a] >> x & 1 and a != x)
+        by_order = frozenset(a for a in A if x in order[a] and a != x)
         blocks = _blocks(full_coset_join(s, B, a) for a in A)
     else:
         raise ElementNotInClass(f"{x} not in either class")
@@ -250,7 +244,7 @@ def coset_bijection(
         dom = full_coset_join(s, B, a)       # B v a v B
         cod = full_coset_meet(s, A, b)       # A ^ b ^ A
         fwd = {x: s.m(x, b, x) for x in dom}
-        relation = lambda xx, yy: bool(order[xx] >> yy & 1)
+        relation = lambda xx, yy: yy in order[xx]
     elif kind == "right":
         dom = right_coset_join(s, B, a)      # B v a
         cod = right_coset_meet(s, A, b)      # b ^ A

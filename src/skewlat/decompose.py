@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits
 from .core import SkewLattice, _cached
 from .errors import InternalInconsistency
 from .greens import (
@@ -97,7 +96,7 @@ def find_lattice_section(s: SkewLattice) -> Sections:
     k = len(d.blocks)
     # topological order of S/D: fewer classes below first
     order = sorted(range(k), key=lambda i: (sum(leq[j][i] for j in range(k)), i))
-    classes = [sorted(bits(d.blocks[i])) for i in order]
+    classes = [sorted(d.blocks[i]) for i in order]
     # rank of each element's D-class in the search order; a product is only
     # constrained once its class has been decided (meets always have been,
     # joins may come later)
@@ -130,24 +129,20 @@ def find_lattice_section(s: SkewLattice) -> Sections:
 
     s0 = frozenset(chosen)
     l, r = green_L(s), green_R(s)
-    s_l = frozenset(
-        x for e in s0 for x in bits(l.block_mask_of(e))
-    )
-    s_r = frozenset(
-        x for e in s0 for x in bits(r.block_mask_of(e))
-    )
+    s_l = frozenset().union(*(l.block_containing(e) for e in s0))
+    s_r = frozenset().union(*(r.block_containing(e) for e in s0))
     # retractions: pi_L(x) is the unique member of R_x inside S_L,
     # pi_R(x) the unique member of L_x inside S_R
     pi_l, pi_r = [], []
     for e in range(s.n):
-        cl = [u for u in bits(r.block_mask_of(e)) if u in s_l]
-        cr = [u for u in bits(l.block_mask_of(e)) if u in s_r]
+        cl = r.block_containing(e) & s_l
+        cr = l.block_containing(e) & s_r
         if len(cl) != 1 or len(cr) != 1:
             raise InternalInconsistency(
                 "section retraction target not unique"
             )
-        pi_l.append(cl[0])
-        pi_r.append(cr[0])
+        pi_l.extend(cl)
+        pi_r.extend(cr)
     for e in range(s.n):
         if pi_l[pi_r[e]] != pi_r[pi_l[e]]:
             raise InternalInconsistency("retractions do not commute")
@@ -177,8 +172,8 @@ def skew_diamonds(s: SkewLattice):
                 continue
             jcls = t.join[a][b]
             mcls = t.meet[a][b]
-            cls = lambda i: frozenset(bits(d.blocks[i]))
-            A, B, Jc, Mc = cls(a), cls(b), cls(jcls), cls(mcls)
+            A, B = d.blocks[a], d.blocks[b]
+            Jc, Mc = d.blocks[jcls], d.blocks[mcls]
             _verify_diamond_classes(s, A, B, Jc, Mc)
             out.append((Jc, A, B, Mc))
     return out

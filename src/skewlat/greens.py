@@ -1,15 +1,16 @@
 """Green's relations, natural and flat preorders, quotients, eggboxes.
 
-Relations on an n-element algebra are stored as n-tuples of bitmasks:
-``rel[x]`` has bit y set iff x is related to y.  Containment checks between
-preorders are then word operations per row.
+An equivalence on an n-element algebra is a `Partition`: its blocks are
+frozensets of elements ordered by least element.  Each of R, L, D and H is
+read off its definition by labelling every x with a representative of its
+class.  A preorder is an n-tuple of frozensets: ``rel[x]`` holds every y
+that x is related to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits, least, mask_of
 from .core import SkewLattice, _cached
 from .errors import (
     ElementOutOfRange,
@@ -20,7 +21,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Partition:
-    """Blocks as bitmasks, ordered by least element; block_of maps back."""
+    """A partition of 0..n-1: ``blocks`` are frozensets ordered by least
+    element, and ``block_of[x]`` is the index of the block that holds x."""
 
     n: int
     block_of: tuple
@@ -28,26 +30,27 @@ class Partition:
 
     @classmethod
     def from_block_of(cls, labels):
-        n = len(labels)
+        """The partition in which x and y share a block iff labels[x] ==
+        labels[y]; any hashable labels will do."""
         by_label = {}
         for x, b in enumerate(labels):
-            by_label.setdefault(b, 0)
-            by_label[b] |= 1 << x
-        blocks = sorted(by_label.values(), key=least)
-        block_of = [0] * n
-        for i, m in enumerate(blocks):
-            for x in bits(m):
+            by_label.setdefault(b, []).append(x)
+        # labels are met in increasing order of their least element
+        blocks = tuple(map(frozenset, by_label.values()))
+        block_of = [0] * len(labels)
+        for i, blk in enumerate(blocks):
+            for x in blk:
                 block_of[x] = i
-        return cls(n, tuple(block_of), tuple(blocks))
+        return cls(len(labels), tuple(block_of), blocks)
 
-    def block_mask_of(self, x):
+    def block_containing(self, x):
         return self.blocks[self.block_of[x]]
 
     def same(self, x, y):
         return self.block_of[x] == self.block_of[y]
 
     def to_json_blocks(self):
-        return [sorted(bits(m)) for m in self.blocks]
+        return [sorted(b) for b in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -67,47 +70,43 @@ class Eggbox:
     grid: tuple  # grid[r][c] = the unique element in rows[r] & cols[c]
 
 
-def _partition_from_pairs(n, related):
-    labels = list(range(n))
-
-    def find(x):
-        while labels[x] != x:
-            labels[x] = labels[labels[x]]
-            x = labels[x]
-        return x
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            if related(x, y):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    labels[max(rx, ry)] = min(rx, ry)
-    return Partition.from_block_of([find(x) for x in range(n)])
-
-
 @_cached
 def green_R(s: SkewLattice) -> Partition:
+    """x R y iff x^y = y and y^x = x; x is labelled by the least such y."""
     mt = s.meet.entries
-    return _partition_from_pairs(
-        s.n, lambda x, y: mt[x][y] == y and mt[y][x] == x
-    )
+    return Partition.from_block_of([
+        next(y for y in range(x + 1) if mt[x][y] == y and mt[y][x] == x)
+        for x in range(s.n)
+    ])
 
 
 @_cached
 def green_L(s: SkewLattice) -> Partition:
+    """x L y iff x^y = x and y^x = y; x is labelled by the least such y."""
     mt = s.meet.entries
-    return _partition_from_pairs(
-        s.n, lambda x, y: mt[x][y] == x and mt[y][x] == y
-    )
+    return Partition.from_block_of([
+        next(y for y in range(x + 1) if mt[x][y] == x and mt[y][x] == y)
+        for x in range(s.n)
+    ])
 
 
 @_cached
 def green_D(s: SkewLattice) -> Partition:
-    """D as the join of R and L, cross-checked against x^y^x = x."""
+    """D as R o L, cross-checked against x^y^x = x.
+
+    R and L commute in any semigroup, so their join D is R o L: x D y iff
+    x R z L y for some z (J. M. Howie, Fundamentals of Semigroup Theory,
+    1995, section 2.1).  The D-class of x is therefore the union of the
+    L-classes of the members of x's R-class, and x is labelled by its
+    least element."""
     n = s.n
     mt = s.meet.entries
     r, l = green_R(s), green_L(s)
-    d = _partition_from_pairs(n, lambda x, y: r.same(x, y) or l.same(x, y))
+    l_least = [min(b) for b in l.blocks]
+    d = Partition.from_block_of([
+        min(l_least[l.block_of[z]] for z in r.block_containing(x))
+        for x in range(n)
+    ])
 
     # Independent path: the direct band characterization.
     for x in range(n):
@@ -123,43 +122,44 @@ def green_D(s: SkewLattice) -> Partition:
 
 @_cached
 def green_H(s: SkewLattice) -> Partition:
+    """x H y iff x R y and x L y; x is labelled by its (R, L) blocks."""
     r, l = green_R(s), green_L(s)
-    return _partition_from_pairs(
-        s.n, lambda x, y: r.same(x, y) and l.same(x, y)
-    )
+    return Partition.from_block_of(list(zip(r.block_of, l.block_of)))
 
 
 @_cached
 def natural_preorder(s: SkewLattice):
-    """Row masks for x >= y in the preorder sense: rel[x] bit y iff x >~ y."""
+    """rel[x] holds y iff x >~ y in the natural preorder."""
     n, mt = s.n, s.meet.entries
     return tuple(
-        mask_of(y for y in range(n) if mt[mt[y][x]][y] == y) for x in range(n)
+        frozenset(y for y in range(n) if mt[mt[y][x]][y] == y)
+        for x in range(n)
     )
 
 
 @_cached
 def natural_order(s: SkewLattice):
+    """rel[x] holds y iff x >= y in the natural order."""
     n, mt = s.n, s.meet.entries
     return tuple(
-        mask_of(y for y in range(n) if mt[x][y] == y and mt[y][x] == y)
+        frozenset(y for y in range(n) if mt[x][y] == y and mt[y][x] == y)
         for x in range(n)
     )
 
 
 def flat_preorder_L(s: SkewLattice):
-    """rel[x] bit y iff x <=_L y, i.e. x = x^y."""
+    """rel[x] holds y iff x <=_L y, i.e. x = x^y."""
     n, mt = s.n, s.meet.entries
     return tuple(
-        mask_of(y for y in range(n) if mt[x][y] == x) for x in range(n)
+        frozenset(y for y in range(n) if mt[x][y] == x) for x in range(n)
     )
 
 
 def flat_preorder_R(s: SkewLattice):
-    """rel[x] bit y iff x <=_R y, i.e. x = y^x."""
+    """rel[x] holds y iff x <=_R y, i.e. x = y^x."""
     n, mt = s.n, s.meet.entries
     return tuple(
-        mask_of(y for y in range(n) if mt[y][x] == x) for x in range(n)
+        frozenset(y for y in range(n) if mt[y][x] == x) for x in range(n)
     )
 
 
@@ -178,8 +178,8 @@ def quotient(s: SkewLattice, p: Partition) -> QuotientMap:
     n = s.n
     mt, jt = s.meet.entries, s.join.entries
     bo = p.block_of
-    for m in p.blocks:
-        xs = list(bits(m))
+    for blk in p.blocks:
+        xs = sorted(blk)
         x = xs[0]
         for y in xs[1:]:
             for z in range(n):
@@ -189,7 +189,7 @@ def quotient(s: SkewLattice, p: Partition) -> QuotientMap:
                     if bo[t[z][x]] != bo[t[z][y]]:
                         raise NotACongruence((x, y, z, "left"))
     k = len(p.blocks)
-    reps = [least(m) for m in p.blocks]
+    reps = [min(blk) for blk in p.blocks]
     qmeet = [[bo[mt[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
     qjoin = [[bo[jt[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
     return QuotientMap(s, SkewLattice(qmeet, qjoin), tuple(bo))
@@ -199,29 +199,25 @@ def eggboxes(s: SkewLattice):
     """One Eggbox per D-class; cells are the (trivial) H-classes."""
     r, l, d = green_R(s), green_L(s), green_D(s)
     out = []
-    for dm in d.blocks:
-        rows = sorted(
-            {r.block_mask_of(x) for x in bits(dm)}, key=least
-        )
-        cols = sorted(
-            {l.block_mask_of(x) for x in bits(dm)}, key=least
-        )
+    for dclass in d.blocks:
+        rows = sorted({r.block_containing(x) for x in dclass}, key=min)
+        cols = sorted({l.block_containing(x) for x in dclass}, key=min)
         grid = []
-        for rm in rows:
+        for rb in rows:
             row = []
-            for cm in cols:
-                cell = rm & cm
-                if cell == 0 or cell & (cell - 1):
+            for cb in cols:
+                cell = rb & cb
+                if len(cell) != 1:
                     raise InternalInconsistency(
                         "H-class not a singleton inside a D-class"
                     )
-                row.append(least(cell))
+                row.extend(cell)
             grid.append(tuple(row))
         out.append(
             Eggbox(
-                dclass=frozenset(bits(dm)),
-                rows=tuple(tuple(bits(rm)) for rm in rows),
-                cols=tuple(tuple(bits(cm)) for cm in cols),
+                dclass=dclass,
+                rows=tuple(tuple(sorted(rb)) for rb in rows),
+                cols=tuple(tuple(sorted(cb)) for cb in cols),
                 grid=tuple(grid),
             )
         )
@@ -234,10 +230,9 @@ def dclass_order(s: SkewLattice):
     d = green_D(s)
     pre = natural_preorder(s)
     k = len(d.blocks)
-    reps = [least(m) for m in d.blocks]
+    reps = [min(blk) for blk in d.blocks]
     leq = tuple(
-        tuple(bool(pre[reps[j]] >> reps[i] & 1) for j in range(k))
-        for i in range(k)
+        tuple(reps[i] in pre[reps[j]] for j in range(k)) for i in range(k)
     )
     return d, leq
 

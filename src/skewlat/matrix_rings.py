@@ -346,7 +346,6 @@ def lower_class_matrix_left(p, block_dims, b21=None, b31=None) -> PrimeFieldMatr
 
 
 def _check_primitive(msl: MatrixSkewLattice):
-    from ._bits import bits
     from .greens import dclass_order
 
     d, leq = dclass_order(msl.abstract)
@@ -357,9 +356,11 @@ def _check_primitive(msl: MatrixSkewLattice):
     comparable = leq[0][1] or leq[1][0]
     if not comparable:
         raise InternalInconsistency("the two classes are not comparable")
-    upper_block = d.blocks[1] if leq[0][1] else d.blocks[0]
-    lower_block = d.blocks[0] if leq[0][1] else d.blocks[1]
-    return frozenset(bits(upper_block)), frozenset(bits(lower_block))
+    if leq[0][1]:  # class 0 below class 1
+        lower, upper = d.blocks
+    else:
+        upper, lower = d.blocks
+    return upper, lower
 
 
 def _primitive(p, block_dims, a_params, b_params, handed):

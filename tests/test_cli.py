@@ -521,3 +521,36 @@ def test_verify_order_above_cap_exits_before_searching(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: pruned search capped at order 6\n"
+
+
+# sha256 of the stdout and exit code of `greens`, `cosets` and `decompose`
+# over the order <= 4 catalog, nc5 both ways and the order-3 x order-2
+# products: a change to how Green's classes are stored or labelled must not
+# move a single block, eggbox, coset or section
+STRUCTURE_OUTPUTS_SHA256 = (
+    "3a20aaab256aa572990c66e09baa2d946084dee1ee8663d7aba41e1aa35e3013"
+)
+
+
+def test_structure_outputs_match_golden_digest(capsys, tmp_path, catalogs):
+    from skewlat.core import direct_product
+
+    corpus = [
+        (f"order{n}-{i}", s)
+        for n, cat in sorted(catalogs.items())
+        for i, s in enumerate(cat.algebras)
+    ]
+    corpus += [("nc5-right", nc5("right")), ("nc5-left", nc5("left"))]
+    corpus += [
+        (f"order3-{i}x{j}", direct_product(a, b))
+        for i, a in enumerate(catalogs[3].algebras)
+        for j, b in enumerate(catalogs[2].algebras)
+    ]
+    digest = hashlib.sha256()
+    for name, s in corpus:
+        path = tmp_path / f"{name}.json"
+        path.write_text(to_json(s))
+        for command in ("greens", "cosets", "decompose"):
+            code, out, _ = run(capsys, command, str(path))
+            digest.update(f"{name} {command} {code}\n{out}".encode())
+    assert digest.hexdigest() == STRUCTURE_OUTPUTS_SHA256

@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
-from skewlat._bits import bits
 from skewlat.catalog import nc5
 from skewlat.core import chain, rectangular
-from skewlat.errors import NotACongruence
+from skewlat import greens
+from skewlat.errors import InternalInconsistency, NotACongruence
 from skewlat.greens import (
     Partition,
     dclass_order,
@@ -55,6 +55,22 @@ def test_d_joins_r_and_l(samples):
                 assert d.same(x, y)
 
 
+@pytest.mark.parametrize(
+    "relation,l,r",
+    [("green_R", 1, 2), ("green_L", 2, 1)],
+)
+def test_d_cross_check_catches_a_wrong_relation(monkeypatch, relation, l, r):
+    # rectangular(l, r) is one D-class; with the relation that joins its two
+    # elements replaced by singletons, R o L splits them and the direct
+    # x^y^x = x check must object
+    s = rectangular(l, r)
+    assert len(getattr(greens, relation)(s).blocks) == 1
+    singletons = Partition.from_block_of(range(s.n))
+    monkeypatch.setattr(greens, relation, lambda _: singletons)
+    with pytest.raises(InternalInconsistency, match="D disagreement"):
+        green_D(rectangular(l, r))
+
+
 def test_h_is_trivial_on_bands(catalogs):
     # R-classes and L-classes of an idempotent-only algebra meet in
     # singletons
@@ -83,8 +99,7 @@ def test_quotient_rejects_non_congruence():
 def test_d_classes_are_rectangular(samples):
     for s in samples.values():
         for block in green_D(s).blocks:
-            elems = list(bits(block))
-            for x, y in product(elems, repeat=2):
+            for x, y in product(block, repeat=2):
                 assert s.m(x, y, x) == x
 
 
@@ -100,13 +115,13 @@ def test_natural_order_is_a_partial_order(samples):
     for s in samples.values():
         leq = natural_order(s)
         for x in range(s.n):
-            assert leq[x] >> x & 1
+            assert x in leq[x]
             for y in range(s.n):
-                if x != y and leq[x] >> y & 1:
-                    assert not leq[y] >> x & 1  # antisymmetry
+                if x != y and y in leq[x]:
+                    assert x not in leq[y]  # antisymmetry
                 for z in range(s.n):
-                    if leq[y] >> x & 1 and leq[z] >> y & 1:
-                        assert leq[z] >> x & 1  # transitivity
+                    if x in leq[y] and y in leq[z]:
+                        assert x in leq[z]  # transitivity
 
 
 def test_preorder_intersections(samples):
@@ -116,13 +131,13 @@ def test_preorder_intersections(samples):
         pre = natural_preorder(s)
         d = green_D(s)
         for x, y in product(range(s.n), repeat=2):
-            both = bool(pre[y] >> x & 1) and bool(pre[x] >> y & 1)
+            both = x in pre[y] and y in pre[x]
             assert both == d.same(x, y)
         pl, pr = flat_preorder_L(s), flat_preorder_R(s)
         leq = natural_order(s)
         for x, y in product(range(s.n), repeat=2):
             # x below y on both flat sides iff x <= y in the natural order
-            assert bool((pl[x] & pr[x]) >> y & 1) == bool(leq[y] >> x & 1)
+            assert (y in pl[x] & pr[x]) == (x in leq[y])
 
 
 def test_principal_ideals(samples):

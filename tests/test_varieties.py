@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from skewlat.core import chain, direct_product, mirror, rectangular
 from skewlat.decompose import kimura
 from skewlat.errors import ArityMismatch, ArityTooLarge
+from skewlat.catalog import nc5
 from skewlat.varieties import (
+    FLAVORED_SYMMETRY_PAIRS,
     JOIN,
     MEET,
     PREDICATES,
@@ -239,3 +241,16 @@ def test_left_center_is_right_center_of_mirror(catalogs, nc5_right, nc5_left):
     for s in algebras + [nc5_right, nc5_left]:
         assert left_center(s) == right_center(mirror(s))
         assert right_center(s) == left_center(mirror(s))
+
+
+def test_alternative_symmetry_axioms_agree(catalogs, catalog5):
+    # each flavored-symmetry identity and its published alternative define
+    # the same class, so they hold on exactly the same algebras
+    algebras = [s for c in catalogs.values() for s in c.algebras]
+    algebras += list(catalog5.algebras) + [nc5("right"), nc5("left")]
+    for s in algebras:
+        for primary, alternative in FLAVORED_SYMMETRY_PAIRS:
+            assert (
+                check_identity(s, primary)[0]
+                == check_identity(s, alternative)[0]
+            ), (primary.name, s)
