@@ -2,7 +2,6 @@
 
 from .core import (
     CAP,
-    OpTable,
     SkewLattice,
     ValidationReport,
     chain,

@@ -161,39 +161,32 @@ def meet_tables(n, prefix=None):
 
     The cells are filled in the order of `_cells`.  (A) is checked after
     each cell on the pairs that cell can decide, (B) at the leaf.
-    `prefix`, when given, is a tuple of values that fixes the first n-1
-    cells of that order, under the same checks; used to split the search
-    across workers.
+    `prefix`, when given, is a tuple of values that fixes the first cells
+    of that order (n-1 of them to split the search across workers): each
+    such cell has its one value as its only candidate, under the same
+    checks.
     """
-    cells = _cells(n)
+    prefix = prefix or ()
+    cands = [(v,) for v in prefix] + [range(n)] * (n * n - n - len(prefix))
+    steps = [(i * n + j, vals) for (i, j), vals in zip(_cells(n), cands)]
     t = [-1] * (n * n)
     for i in range(n):
         t[i * n + i] = i
-    start = 0
-    if prefix is not None:
-        for k, v in enumerate(prefix):
-            i, j = cells[k]
-            pos = i * n + j
-            t[pos] = v
-            if not (_assoc_ok_at(t, n, pos) and _d_ordered_at(t, n, pos)):
-                return []
-        start = len(prefix)
     out = []
 
     def fill(k):
-        if k == len(cells):
+        if k == len(steps):
             if _d_contiguous(t, n) and _is_regular(t, n):
                 out.append(tuple(t))
             return
-        i, j = cells[k]
-        pos = i * n + j
-        for v in range(n):
+        pos, vals = steps[k]
+        for v in vals:
             t[pos] = v
             if _assoc_ok_at(t, n, pos) and _d_ordered_at(t, n, pos):
                 fill(k + 1)
         t[pos] = -1
 
-    fill(start)
+    fill(0)
     return out
 
 

@@ -27,6 +27,7 @@ from .errors import (
     SkewLatticeError,
 )
 from .kernels import canonical_pair, join_completions, meet_tables
+from .varieties import classify
 
 PRUNED_MAX_ORDER = 6
 NAIVE_MAX_ORDER = 3
@@ -39,6 +40,11 @@ class Catalog:
     provenance: str
 
 
+def _flat(table):
+    """A table of row tuples as the row-major flat tuple the kernels read."""
+    return tuple(v for row in table for v in row)
+
+
 def _from_flat(mt, jt, n) -> SkewLattice:
     """The algebra whose row-major flat tables are mt and jt."""
     return SkewLattice(
@@ -49,7 +55,7 @@ def _from_flat(mt, jt, n) -> SkewLattice:
 
 def canonical(s: SkewLattice) -> SkewLattice:
     """The least relabeling of s under lexicographic (meet, join) order."""
-    cm, cj, _ = canonical_pair(s.meet.flat(), s.join.flat(), s.n)
+    cm, cj, _ = canonical_pair(_flat(s.meet), _flat(s.join), s.n)
     return _from_flat(cm, cj, s.n)
 
 
@@ -68,8 +74,8 @@ def isomorphic(a: SkewLattice, b: SkewLattice):
     if a.n != b.n:
         return None
     n = a.n
-    cma, cja, pa = canonical_pair(a.meet.flat(), a.join.flat(), n)
-    cmb, cjb, pb = canonical_pair(b.meet.flat(), b.join.flat(), n)
+    cma, cja, pa = canonical_pair(_flat(a.meet), _flat(a.join), n)
+    cmb, cjb, pb = canonical_pair(_flat(b.meet), _flat(b.join), n)
     if cma != cmb or cja != cjb:
         return None
     # pa relabels a to the shared canonical form, pb does the same for b;
@@ -147,9 +153,7 @@ def enumerate_catalog(
         for meet in bands:
             for join in bands:
                 if validate(meet, join).valid:
-                    mt = tuple(v for row in meet for v in row)
-                    jt = tuple(v for row in join for v in row)
-                    cm, cj, _ = canonical_pair(mt, jt, n)
+                    cm, cj, _ = canonical_pair(_flat(meet), _flat(join), n)
                     found.add((cm, cj))
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
@@ -159,11 +163,6 @@ def enumerate_catalog(
 
 
 # --- named constructions --------------------------------------------------
-
-# the five-element algebra on {v, x1, x2, y, u} with classes
-# {v} < {x1, x2}, {y} < {u}
-NC5_NAMES = ("v", "x1", "x2", "y", "u")
-
 
 def nc5(handed: str = "right") -> SkewLattice:
     """Five elements v < {x1, x2}, {y} < u with {x1, x2} a two-element
@@ -296,8 +295,6 @@ def save_catalog(cat: Catalog, directory: str):
     written last, to a temporary file renamed into place: a save cut short
     leaves no index.json, so the directory reads as absent rather than
     malformed."""
-    from .varieties import classify
-
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "index.json")
     try:
@@ -348,7 +345,7 @@ def load_catalog(directory: str) -> Catalog:
             )
         if canonical(s) != s:
             raise SkewLatticeError(f"{p}: not in canonical form")
-    keys = [(s.meet.flat(), s.join.flat()) for s in algebras]
+    keys = [(_flat(s.meet), _flat(s.join)) for s in algebras]
     for k in range(1, len(keys)):
         if keys[k - 1] >= keys[k]:
             fault = "repeats" if keys[k - 1] == keys[k] else "sorts before"

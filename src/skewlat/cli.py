@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import multiprocessing
 import os
 import sys
 
@@ -64,7 +65,7 @@ def _validated(path):
 
 def cmd_validate(args):
     s, _ = core.load_algebra(args.file)
-    rep = core.validate(s.meet.entries, s.join.entries)
+    rep = core.validate(s.meet, s.join)
     _emit(rep.to_dict())
     _info(f"{args.file}: {'valid' if rep.valid else 'invalid'}")
     return EXIT_OK if rep.valid else EXIT_FINDING
@@ -248,8 +249,7 @@ def cmd_matrix(args):
 
 
 def _verify_one(task):
-    idx, tables, label, selected = task
-    s = core.SkewLattice(*tables)
+    idx, s, label, selected = task
     return idx, [
         laws.ALL_LAW_CHECKS[name](s, label).to_json_dict() for name in selected
     ]
@@ -282,14 +282,9 @@ def cmd_verify(args):
     if not algebras:
         raise UsageError("nothing to verify: give files, --catalog, or --order")
 
-    tasks = [
-        (i, (s.meet.entries, s.join.entries), label, selected)
-        for i, (s, label) in enumerate(algebras)
-    ]
+    tasks = [(i, s, label, selected) for i, (s, label) in enumerate(algebras)]
     if args.workers > 1 and len(tasks) > 1:
-        from multiprocessing import Pool
-
-        with Pool(args.workers) as pool:
+        with multiprocessing.Pool(args.workers) as pool:
             results = dict(pool.imap_unordered(_verify_one, tasks))
     else:
         results = dict(map(_verify_one, tasks))

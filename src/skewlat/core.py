@@ -1,7 +1,8 @@
 """Finite double-band algebras given by operation tables.
 
 Elements are always 0..n-1; any naming lives in the I/O layer.  A
-:class:`SkewLattice` bundles a meet table and a join table of equal size.
+:class:`SkewLattice` is a meet table and a join table of equal size, each
+a tuple of row tuples, so ``s.meet[x][y]`` is x ^ y.
 Construction helpers (`rectangular`, `direct_product`, `dual`) and the axiom
 checker (`validate`) live here too.
 """
@@ -27,54 +28,42 @@ from .errors import (
 CAP = 64
 
 
-@dataclass(frozen=True)
-class OpTable:
-    """An n-by-n table of element indices; entries[i][j] = i <op> j."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.entries)
-        object.__setattr__(self, "entries", rows)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise DimensionMismatch(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise EntryOutOfRange((i, j), v)
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def flat(self):
-        return tuple(v for row in self.entries for v in row)
+def _rows(table):
+    """`table` as a tuple of row tuples, checked to be n-by-n with every
+    entry in 0..n-1; DimensionMismatch or EntryOutOfRange otherwise."""
+    rows = tuple(map(tuple, table))
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise DimensionMismatch(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not (0 <= v < n):
+                raise EntryOutOfRange((i, j), v)
+    return rows
 
 
 @dataclass(frozen=True)
 class SkewLattice:
-    """Carrier for a pair of operation tables on the same element set.
+    """A pair of operation tables on the same element set 0..n-1.
 
-    The dataclass itself does not re-check the axioms; use
-    :func:`validate` or :meth:`checked` when the input is untrusted.
+    `meet` and `join` are tuples of row tuples: ``s.meet[x][y]`` is x ^ y
+    and ``s.join[x][y]`` is x v y.  Construction accepts any nested
+    sequences and checks only that both tables are n-by-n over 0..n-1; it
+    does not re-check the axioms.  Use :func:`validate` or
+    :meth:`checked` when the input is untrusted.
     """
 
-    meet: OpTable
-    join: OpTable
+    meet: tuple
+    join: tuple
 
     def __post_init__(self):
-        if not isinstance(self.meet, OpTable):
-            object.__setattr__(self, "meet", OpTable(self.meet))
-        if not isinstance(self.join, OpTable):
-            object.__setattr__(self, "join", OpTable(self.join))
-        if self.meet.n != self.join.n:
+        meet, join = _rows(self.meet), _rows(self.join)
+        if len(meet) != len(join):
             raise DimensionMismatch(
-                f"meet has n={self.meet.n}, join has n={self.join.n}"
+                f"meet has n={len(meet)}, join has n={len(join)}"
             )
+        object.__setattr__(self, "meet", meet)
+        object.__setattr__(self, "join", join)
 
     @classmethod
     def checked(cls, meet, join):
@@ -86,11 +75,11 @@ class SkewLattice:
 
     @property
     def n(self):
-        return self.meet.n
+        return len(self.meet)
 
     def m(self, *xs):
         """Left-to-right meet fold: m(a, b, c) = (a ^ b) ^ c."""
-        t = self.meet.entries
+        t = self.meet
         acc = xs[0]
         for x in xs[1:]:
             acc = t[acc][x]
@@ -98,7 +87,7 @@ class SkewLattice:
 
     def j(self, *xs):
         """Left-to-right join fold."""
-        t = self.join.entries
+        t = self.join
         acc = xs[0]
         for x in xs[1:]:
             acc = t[acc][x]
@@ -184,14 +173,8 @@ def validate(meet, join) -> ValidationReport:
     returned report then lists each violated axiom among idempotency (x2),
     associativity (x2) and the four absorption laws.
     """
-    if not isinstance(meet, OpTable):
-        meet = OpTable(meet)
-    if not isinstance(join, OpTable):
-        join = OpTable(join)
-    if meet.n != join.n:
-        raise DimensionMismatch(f"meet has n={meet.n}, join has n={join.n}")
-    n = meet.n
-    mt, jt = meet.entries, join.entries
+    s = SkewLattice(meet, join)
+    n, mt, jt = s.n, s.meet, s.join
     failures = []
 
     for name, t in (("meet-idempotency", mt), ("join-idempotency", jt)):
@@ -231,7 +214,7 @@ def validate(meet, join) -> ValidationReport:
 def require_valid(s: SkewLattice, label: str) -> SkewLattice:
     """s itself if it satisfies every axiom; otherwise SkewLatticeError
     naming `label` and the first violated axiom."""
-    rep = validate(s.meet.entries, s.join.entries)
+    rep = validate(s.meet, s.join)
     if not rep.valid:
         raise SkewLatticeError(f"{label}: not a skew lattice: {rep.failures[0]}")
     return s
@@ -310,8 +293,8 @@ def mirror(s: SkewLattice) -> SkewLattice:
 def to_json_dict(s: SkewLattice, names=None):
     d = {
         "n": s.n,
-        "meet": [list(row) for row in s.meet.entries],
-        "join": [list(row) for row in s.join.entries],
+        "meet": [list(row) for row in s.meet],
+        "join": [list(row) for row in s.join],
     }
     if names is not None:
         if len(names) != s.n:
@@ -348,13 +331,13 @@ def from_json(text: str):
 
 def read_json(path):
     """The JSON value in file `path`; MalformedInput if it cannot be read
-    or parsed."""
+    or parsed, also when it nests too deeply for the parser."""
     try:
         with open(path) as f:
             return json.load(f)
     except OSError as e:
         raise MalformedInput(f"cannot read {path}: {e}") from None
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise MalformedInput(f"{path} is not valid JSON: {e}") from None
 
 

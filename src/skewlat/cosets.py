@@ -21,37 +21,37 @@ from .greens import dclass_order, green_L, green_R, natural_order
 
 def right_coset_meet(s, C, x):
     """x ^ C = {x ^ c}."""
-    row = s.meet.entries[x]
+    row = s.meet[x]
     return frozenset(row[c] for c in C)
 
 
 def left_coset_meet(s, C, x):
     """C ^ x = {c ^ x}."""
-    t = s.meet.entries
+    t = s.meet
     return frozenset(t[c][x] for c in C)
 
 
 def full_coset_meet(s, C, x):
     """C ^ x ^ C = {c ^ x ^ c}."""
-    t = s.meet.entries
+    t = s.meet
     return frozenset(t[t[c][x]][c] for c in C)
 
 
 def right_coset_join(s, C, x):
     """C v x = {c v x}."""
-    t = s.join.entries
+    t = s.join
     return frozenset(t[c][x] for c in C)
 
 
 def left_coset_join(s, C, x):
     """x v C = {x v c}."""
-    row = s.join.entries[x]
+    row = s.join[x]
     return frozenset(row[c] for c in C)
 
 
 def full_coset_join(s, C, x):
     """C v x v C = {c v x v c}."""
-    t = s.join.entries
+    t = s.join
     return frozenset(t[t[c][x]][c] for c in C)
 
 
@@ -178,7 +178,7 @@ def _verify_system(s, sys):
             if len(img & blk) != 1:
                 raise InternalInconsistency("right image set not a transversal")
     # b v A = {a in A : a >=_L b}
-    mt = s.meet.entries
+    mt = s.meet
     for b in B:
         expected = frozenset(a for a in A if mt[b][a] == b)
         if left_coset_join(s, A, b) != expected:
@@ -238,7 +238,7 @@ def coset_bijection(
         raise ElementNotInClass(f"{a} not in the upper class")
     if b not in B:
         raise ElementNotInClass(f"{b} not in the lower class")
-    mt = s.meet.entries
+    mt = s.meet
     order = natural_order(s)
     if kind == "full":
         dom = full_coset_join(s, B, a)       # B v a v B

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SkewLattice, _cached
+from .core import SkewLattice, _cached, to_json_dict
 from .errors import InternalInconsistency
 from .greens import (
     QuotientMap,
@@ -92,7 +92,7 @@ def find_lattice_section(s: SkewLattice) -> Sections:
     """Backtracking search for a transversal of the D-classes closed under
     both operations; absence is reported as None fields, not an error."""
     d, leq = dclass_order(s)
-    mt, jt = s.meet.entries, s.join.entries
+    mt, jt = s.meet, s.join
     k = len(d.blocks)
     # topological order of S/D: fewer classes below first
     order = sorted(range(k), key=lambda i: (sum(leq[j][i] for j in range(k)), i))
@@ -214,8 +214,6 @@ def sections_to_json(sec: Sections):
 
 
 def kimura_to_json(dec: KimuraDecomposition):
-    from .core import to_json_dict
-
     return {
         "left_factor": to_json_dict(dec.left_factor.quotient),
         "right_factor": to_json_dict(dec.right_factor.quotient),

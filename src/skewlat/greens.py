@@ -55,7 +55,6 @@ class Partition:
 
 @dataclass(frozen=True)
 class QuotientMap:
-    source: SkewLattice
     quotient: SkewLattice
     class_of: tuple
 
@@ -73,7 +72,7 @@ class Eggbox:
 @_cached
 def green_R(s: SkewLattice) -> Partition:
     """x R y iff x^y = y and y^x = x; x is labelled by the least such y."""
-    mt = s.meet.entries
+    mt = s.meet
     return Partition.from_block_of([
         next(y for y in range(x + 1) if mt[x][y] == y and mt[y][x] == x)
         for x in range(s.n)
@@ -83,7 +82,7 @@ def green_R(s: SkewLattice) -> Partition:
 @_cached
 def green_L(s: SkewLattice) -> Partition:
     """x L y iff x^y = x and y^x = y; x is labelled by the least such y."""
-    mt = s.meet.entries
+    mt = s.meet
     return Partition.from_block_of([
         next(y for y in range(x + 1) if mt[x][y] == x and mt[y][x] == y)
         for x in range(s.n)
@@ -100,7 +99,7 @@ def green_D(s: SkewLattice) -> Partition:
     L-classes of the members of x's R-class, and x is labelled by its
     least element."""
     n = s.n
-    mt = s.meet.entries
+    mt = s.meet
     r, l = green_R(s), green_L(s)
     l_least = [min(b) for b in l.blocks]
     d = Partition.from_block_of([
@@ -130,7 +129,7 @@ def green_H(s: SkewLattice) -> Partition:
 @_cached
 def natural_preorder(s: SkewLattice):
     """rel[x] holds y iff x >~ y in the natural preorder."""
-    n, mt = s.n, s.meet.entries
+    n, mt = s.n, s.meet
     return tuple(
         frozenset(y for y in range(n) if mt[mt[y][x]][y] == y)
         for x in range(n)
@@ -140,7 +139,7 @@ def natural_preorder(s: SkewLattice):
 @_cached
 def natural_order(s: SkewLattice):
     """rel[x] holds y iff x >= y in the natural order."""
-    n, mt = s.n, s.meet.entries
+    n, mt = s.n, s.meet
     return tuple(
         frozenset(y for y in range(n) if mt[x][y] == y and mt[y][x] == y)
         for x in range(n)
@@ -149,7 +148,7 @@ def natural_order(s: SkewLattice):
 
 def flat_preorder_L(s: SkewLattice):
     """rel[x] holds y iff x <=_L y, i.e. x = x^y."""
-    n, mt = s.n, s.meet.entries
+    n, mt = s.n, s.meet
     return tuple(
         frozenset(y for y in range(n) if mt[x][y] == x) for x in range(n)
     )
@@ -157,7 +156,7 @@ def flat_preorder_L(s: SkewLattice):
 
 def flat_preorder_R(s: SkewLattice):
     """rel[x] holds y iff x <=_R y, i.e. x = y^x."""
-    n, mt = s.n, s.meet.entries
+    n, mt = s.n, s.meet
     return tuple(
         frozenset(y for y in range(n) if mt[y][x] == x) for x in range(n)
     )
@@ -167,7 +166,7 @@ def principal_ideals(s: SkewLattice, y: int):
     """(y^S, S^y): the principal ideals below y on each flat side."""
     if not (0 <= y < s.n):
         raise ElementOutOfRange(y)
-    mt = s.meet.entries
+    mt = s.meet
     down = frozenset(mt[y][x] for x in range(s.n))
     left = frozenset(mt[x][y] for x in range(s.n))
     return down, left
@@ -176,7 +175,7 @@ def principal_ideals(s: SkewLattice, y: int):
 def quotient(s: SkewLattice, p: Partition) -> QuotientMap:
     """Quotient by a congruence; raises NotACongruence with a witness."""
     n = s.n
-    mt, jt = s.meet.entries, s.join.entries
+    mt, jt = s.meet, s.join
     bo = p.block_of
     for blk in p.blocks:
         xs = sorted(blk)
@@ -192,7 +191,7 @@ def quotient(s: SkewLattice, p: Partition) -> QuotientMap:
     reps = [min(blk) for blk in p.blocks]
     qmeet = [[bo[mt[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
     qjoin = [[bo[jt[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    return QuotientMap(s, SkewLattice(qmeet, qjoin), tuple(bo))
+    return QuotientMap(SkewLattice(qmeet, qjoin), tuple(bo))
 
 
 def eggboxes(s: SkewLattice):

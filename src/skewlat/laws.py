@@ -266,7 +266,7 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     # and S ^ y meets each R-class at most once iff left quasi-normal.
     # (The source states these with the two Green's relations exchanged,
     # which fails already at order 2.)
-    mt = s.meet.entries
+    mt = s.meet
 
     def ideal_classes_trivial(ideals, rel):
         # ideals[y] lists the principal ideal of y, repeats allowed

@@ -13,7 +13,8 @@ from functools import lru_cache
 from itertools import chain
 from operator import mul
 
-from .core import SkewLattice, _cached, validate
+from . import cosets
+from .core import SkewLattice, _cached, to_json_dict, validate
 from .errors import (
     ClosureExceedsCap,
     DimensionMismatch,
@@ -24,7 +25,9 @@ from .errors import (
     NotIdempotent,
     NotInStandardForm,
 )
+from .greens import dclass_order
 from .reports import ConcordanceReport, Record
+from .varieties import is_left_handed, is_right_handed
 
 DEFAULT_MODULUS_CAP = 97
 DEFAULT_CLOSURE_CAP = 512
@@ -194,8 +197,6 @@ class MatrixSkewLattice:
     origin: str
 
     def to_json_dict(self):
-        from .core import to_json_dict
-
         return {
             "origin": self.origin,
             "matrices": [m.to_json_dict() for m in self.elements],
@@ -346,8 +347,6 @@ def lower_class_matrix_left(p, block_dims, b21=None, b31=None) -> PrimeFieldMatr
 
 
 def _check_primitive(msl: MatrixSkewLattice):
-    from .greens import dclass_order
-
     d, leq = dclass_order(msl.abstract)
     if len(d.blocks) != 2:
         raise InternalInconsistency(
@@ -367,8 +366,6 @@ def _primitive(p, block_dims, a_params, b_params, handed):
     """Closure of the two diagonal idempotents and the `handed` upper and
     lower block forms of each parameter pair, verified primitive and
     `handed`."""
-    from .varieties import is_left_handed, is_right_handed
-
     upper, lower, is_handed = {
         "right": (upper_class_matrix, lower_class_matrix, is_right_handed),
         "left": (upper_class_matrix_left, lower_class_matrix_left, is_left_handed),
@@ -396,7 +393,7 @@ def primitive_right_handed(
     # in the right-handed case nabla reduces to circle x + y - xy; the
     # meet and join tables already hold the indices of xy and nabla(x, y)
     elems = [_flat(m) for m in msl.elements]
-    meet, join = msl.abstract.meet.entries, msl.abstract.join.entries
+    meet, join = msl.abstract.meet, msl.abstract.join
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             if elems[join[i][j]] != _sub(_add(x, y, p), elems[meet[i][j]], p):
@@ -456,15 +453,6 @@ def matrix_coset_remark_check(
 ) -> ConcordanceReport:
     """Compare abstract coset equalities with the stated block-entry
     equalities, for every pair in each class."""
-    from .cosets import (
-        full_coset_join,
-        full_coset_meet,
-        left_coset_join,
-        left_coset_meet,
-        right_coset_join,
-        right_coset_meet,
-    )
-
     r1, r2, r3 = _ranges(block_dims)
     for m in msl.elements:
         if m.dim != len(r1) + len(r2) + len(r3):
@@ -475,14 +463,14 @@ def matrix_coset_remark_check(
     # is (name, coset function, the blocks whose equality it states)
     classes = (
         (lower, upper, (
-            ("full-lower", full_coset_meet, ((r2, r1), (r1, r2))),
-            ("right-lower", right_coset_meet, ((r2, r1), (r3, r1), (r1, r2))),
-            ("left-lower", left_coset_meet, ((r2, r1), (r1, r2), (r1, r3))),
+            ("full-lower", cosets.full_coset_meet, ((r2, r1), (r1, r2))),
+            ("right-lower", cosets.right_coset_meet, ((r2, r1), (r3, r1), (r1, r2))),
+            ("left-lower", cosets.left_coset_meet, ((r2, r1), (r1, r2), (r1, r3))),
         )),
         (upper, lower, (
-            ("full-upper", full_coset_join, ((r3, r2), (r2, r3))),
-            ("right-upper", right_coset_join, ((r3, r1), (r3, r2), (r2, r3))),
-            ("left-upper", left_coset_join, ((r3, r2), (r1, r3), (r2, r3))),
+            ("full-upper", cosets.full_coset_join, ((r3, r2), (r2, r3))),
+            ("right-upper", cosets.right_coset_join, ((r3, r1), (r3, r2), (r2, r3))),
+            ("left-upper", cosets.left_coset_join, ((r3, r2), (r1, r3), (r2, r3))),
         )),
     )
     records = []

@@ -105,7 +105,7 @@ def eval_term(s: SkewLattice, t: Term, assignment) -> int:
         return assignment[t.var]
     a = eval_term(s, t.left, assignment)
     b = eval_term(s, t.right, assignment)
-    table = s.meet.entries if t.op == MEET else s.join.entries
+    table = s.meet if t.op == MEET else s.join
     return table[a][b]
 
 
@@ -154,7 +154,7 @@ def _staged_plan(ident: Identity):
 def _columns(s: SkewLattice):
     """The meet and join tables transposed: ``_columns(s)[op][b][a]`` is
     ``a op b``."""
-    return tuple(tuple(zip(*t.entries)) for t in (s.meet, s.join))
+    return tuple(tuple(zip(*t)) for t in (s.meet, s.join))
 
 
 def check_identity(s: SkewLattice, ident: Identity):
@@ -171,7 +171,7 @@ def check_identity(s: SkewLattice, ident: Identity):
         ident
     )
     n = s.n
-    tables = (s.meet.entries, s.join.entries)
+    tables = (s.meet, s.join)
     columns = _columns(s)
     env = [0] * (top + 1 + sum(map(len, outer)) + len(inner))
     env[top] = tuple(range(n))
@@ -318,12 +318,12 @@ def _commutation_implies(t, u):
 
 def is_upper_symmetric(s):
     """x^y = y^x implies xvy = yvx, checked over all pairs."""
-    return _commutation_implies(s.meet.entries, s.join.entries)
+    return _commutation_implies(s.meet, s.join)
 
 
 def is_lower_symmetric(s):
     """xvy = yvx implies x^y = y^x, checked over all pairs."""
-    return _commutation_implies(s.join.entries, s.meet.entries)
+    return _commutation_implies(s.join, s.meet)
 
 
 def is_symmetric(s):
@@ -336,7 +336,7 @@ def is_symmetric(s):
 def _cancellative(s, left, right):
     """Least (a, b, c) with a != b that c fails to tell apart: on the left,
     cva=cvb & c^a=c^b; on the right, avc=bvc & a^c=b^c."""
-    mt, jt = s.meet.entries, s.join.entries
+    mt, jt = s.meet, s.join
     for a in range(s.n):
         for b in range(s.n):
             if a == b:
@@ -365,7 +365,7 @@ def is_left_cancellative(s):
 def is_simply_cancellative(s):
     """Least (a, b, c) with a != b that c fails to tell apart:
     avcva=bvcvb & a^c^a=b^c^b."""
-    mt, jt = s.meet.entries, s.join.entries
+    mt, jt = s.meet, s.join
     rng = range(s.n)
     # sandwiches[a][c] = (a v c v a, a ^ c ^ a)
     sandwiches = [

@@ -56,7 +56,7 @@ def test_acceptance_1_axiom_foundation(catalogs, catalog5):
     algebras = [s for c in catalogs.values() for s in c.algebras]
     algebras += list(catalog5.algebras)
     for s in algebras:
-        rep = validate(s.meet.entries, s.join.entries)
+        rep = validate(s.meet, s.join)
         ok &= rep.valid and rep.meet_regular and rep.join_regular
         # quotient() raises unless the partition is a congruence; the
         # D-quotient must be commutative (a lattice)
@@ -135,7 +135,7 @@ def test_acceptance_5_nc5():
     left = nc5("left")
     ok = True
     for s in (right, left):
-        ok &= validate(s.meet.entries, s.join.entries).valid
+        ok &= validate(s.meet, s.join).valid
         ok &= is_quasi_distributive(s)[0]
         ok &= not classify(s).results["simply-cancellative"][0]
     ok &= is_right_handed(right)[0]

@@ -39,7 +39,7 @@ def test_order2_is_chain_and_both_rectangulars(catalogs):
 def test_catalog_entries_are_valid_and_canonical(catalogs):
     for cat in catalogs.values():
         for s in cat.algebras:
-            assert validate(s.meet.entries, s.join.entries).valid
+            assert validate(s.meet, s.join).valid
             assert canonical(s) == s
 
 
@@ -123,7 +123,7 @@ def test_nc5_construction():
     for handed in ("right", "left"):
         s = nc5(handed)
         assert s.n == 5
-        assert validate(s.meet.entries, s.join.entries).valid
+        assert validate(s.meet, s.join).valid
         assert is_quasi_distributive(s)[0]
         res = classify(s).results
         assert not res["simply-cancellative"][0]
@@ -148,7 +148,7 @@ def test_primitive_from_coset_data_round_trip(nc5_right):
         bijections={(0, 0): {0: 0}, (1, 0): {1: 0}},
     )
     s = primitive_from_coset_data(d)
-    assert validate(s.meet.entries, s.join.entries).valid
+    assert validate(s.meet, s.join).valid
     assert s.n == 3
 
 

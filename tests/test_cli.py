@@ -331,8 +331,8 @@ def _variants(s):
     """s, its meet paired with itself, and s with one meet cell moved:
     valid, absorption-failing and (mostly) non-associative tables."""
     n = s.n
-    meet = [list(r) for r in s.meet.entries]
-    join = [list(r) for r in s.join.entries]
+    meet = [list(r) for r in s.meet]
+    join = [list(r) for r in s.join]
     moved = [list(r) for r in meet]
     moved[n - 1][0] = (moved[n - 1][0] + 1) % n
     return [(meet, join), (meet, meet), (moved, join)]
@@ -373,9 +373,19 @@ def _write_catalog(directory, index, files=()):
     """A saved catalog in `directory`: `index` as index.json plus each
     (name, algebra) in `files`."""
     for name, algebra in files:
-        (directory / name).write_text(json.dumps(algebra))
-    (directory / "index.json").write_text(json.dumps(index))
+        (directory / name).write_text(_json_text(algebra))
+    (directory / "index.json").write_text(_json_text(index))
     return str(directory)
+
+
+def _json_text(value):
+    """value as JSON text; a str is the text itself, for input that
+    json.dumps cannot write."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+# parses as JSON only with 100,000 levels of recursion
+_DEEP = "[" * 100000 + "]" * 100000
 
 
 @pytest.mark.parametrize(
@@ -404,6 +414,8 @@ def _write_catalog(directory, index, files=()):
             _SHORT_NAMES, ["export", "--format", "dot"], id="export-short-names"
         ),
         pytest.param(_NON_STRING_NAMES, ["validate"], id="validate-non-string-names"),
+        pytest.param(_DEEP, ["validate"], id="validate-deeply-nested"),
+        pytest.param(_DEEP, ["verify", "--catalog"], id="catalog-index-deeply-nested"),
         pytest.param(None, ["matrix", "--p", "4"], id="matrix-non-prime"),
         pytest.param(None, ["matrix", "--p", "0"], id="matrix-zero-modulus"),
         pytest.param(None, ["enumerate", "--order", "9"], id="order-above-cap"),
@@ -450,7 +462,7 @@ def test_malformed_input_exit_2(capsys, tmp_path, monkeypatch, algebra, argv):
         argv = argv + [_write_catalog(tmp_path, algebra)]
     elif algebra is not None:
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(algebra))
+        path.write_text(_json_text(algebra))
         argv = argv + [str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2

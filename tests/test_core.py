@@ -44,9 +44,9 @@ def test_rectangular_tables():
 
 def test_validate_rejects_broken_absorption():
     s = chain(2)
-    join = [list(r) for r in s.join.entries]
+    join = [list(r) for r in s.join]
     join[0][1] = 0  # breaks x v (x ^ y) = x at (1, 0)
-    rep = validate(s.meet.entries, join)
+    rep = validate(s.meet, join)
     assert not rep.valid
     assert rep.failures
 
@@ -67,15 +67,15 @@ def test_direct_product_order_and_validity():
     a, b = chain(2), rectangular(2, 2)
     s = direct_product(a, b)
     assert s.n == a.n * b.n
-    assert validate(s.meet.entries, s.join.entries).valid
+    assert validate(s.meet, s.join).valid
 
 
 def test_dual_and_mirror_are_involutions(samples):
     for s in samples.values():
         assert dual(dual(s)) == s
         assert mirror(mirror(s)) == s
-        assert validate(dual(s).meet.entries, dual(s).join.entries).valid
-        assert validate(mirror(s).meet.entries, mirror(s).join.entries).valid
+        assert validate(dual(s).meet, dual(s).join).valid
+        assert validate(mirror(s).meet, mirror(s).join).valid
 
 
 def test_mirror_swaps_argument_order(samples):
@@ -106,7 +106,7 @@ def test_json_keys_sorted(samples):
 @settings(max_examples=16, deadline=None)
 def test_rectangular_always_validates(l, r):
     s = rectangular(l, r)
-    assert validate(s.meet.entries, s.join.entries).valid
+    assert validate(s.meet, s.join).valid
 
 
 @given(st.data())
@@ -124,7 +124,7 @@ def test_regularity_follows_from_axioms(catalogs):
     # the sandwich law x ^ y ^ x ^ z ^ x = x ^ y ^ z ^ x, and dually
     for cat in catalogs.values():
         for s in cat.algebras:
-            rep = validate(s.meet.entries, s.join.entries)
+            rep = validate(s.meet, s.join)
             assert rep.valid and rep.meet_regular and rep.join_regular
 
 
@@ -212,7 +212,7 @@ def _table_pairs(draw):
     else:
         l = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
         s = draw(st.sampled_from([chain(n), rectangular(l, n // l)]))
-        meet, join = ([list(r) for r in t.entries] for t in (s.meet, s.join))
+        meet, join = ([list(r) for r in t] for t in (s.meet, s.join))
     for _ in range(draw(st.integers(0, 2))):
         t = draw(st.sampled_from([meet, join]))
         t[draw(entry)][draw(entry)] = draw(entry)

@@ -162,7 +162,7 @@ def test_induced_subalgebra_is_valid(samples):
     pair = comparable_pairs(s)[0]
     elems = sorted(pair.upper | pair.lower)
     sub = induced_subalgebra(s, elems)
-    assert validate(sub.meet.entries, sub.join.entries).valid
+    assert validate(sub.meet, sub.join).valid
     assert sub.n == len(elems)
 
 

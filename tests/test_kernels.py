@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlat import _kernels_py, kernels
+from skewlat import _kernels_py, catalog, kernels
 from skewlat.catalog import _naive_bands, _prefixes, nc5
 from skewlat.core import chain, direct_product, rectangular
 
@@ -20,7 +20,7 @@ KERNEL_NAMES = (
 
 
 def _flat(s):
-    return s.meet.flat(), s.join.flat(), s.n
+    return catalog._flat(s.meet), catalog._flat(s.join), s.n
 
 
 def test_backend_selected():

@@ -5,14 +5,16 @@ be answered from the instance), while the whole analysis stack runs on one
 instance.
 """
 
+import gc
 import sys
+import weakref
 from collections import Counter
 
 import pytest
 
 from skewlat import decompose, greens, laws
 from skewlat.catalog import enumerate_catalog, nc5
-from skewlat.core import SkewLattice
+from skewlat.core import SkewLattice, direct_product, rectangular
 from skewlat.varieties import classify
 
 FACTS = {
@@ -69,7 +71,7 @@ ALGEBRAS = [
 
 @pytest.mark.parametrize("s", ALGEBRAS)
 def test_facts_built_at_most_once(s):
-    s = SkewLattice(s.meet.entries, s.join.entries)
+    s = SkewLattice(s.meet, s.join)
     counts = _count_bodies(lambda: _analyze(s))
     for name in FACTS:
         assert counts[name] <= 1, (name, counts)
@@ -77,9 +79,28 @@ def test_facts_built_at_most_once(s):
     assert counts["quotient"] <= 3, counts
     assert counts["D"] == counts["kimura"] == 1
 
-    fresh = SkewLattice(s.meet.entries, s.join.entries)
+    fresh = SkewLattice(s.meet, s.join)
     assert fresh == s and hash(fresh) == hash(s)
     for name, fn in FACTS.items():
         cached = fn(s)
         hash(cached)  # immutable: shared by every caller
         assert cached == fn(fresh), name
+
+
+def test_analysed_algebra_freed_without_the_cycle_collector():
+    # No cached fact refers back to its algebra, so reference counting
+    # alone frees an algebra at `del`, whatever was computed on it.
+    s = direct_product(nc5("right"), rectangular(2, 1))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        decompose.kimura(s)
+        for check in laws.ALL_LAW_CHECKS.values():
+            check(s)
+        classify(s)
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
