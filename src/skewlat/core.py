@@ -324,9 +324,26 @@ def from_json_dict(d):
     return SkewLattice(meet, join), names
 
 
+def _parse_algebra(load, source):
+    """(algebra, names-or-None) from the JSON value that load() returns;
+    MalformedInput naming `source` if that value cannot be parsed, also
+    when it nests too deeply, or is not in the algebra format."""
+    try:
+        d = load()
+    except (ValueError, RecursionError) as e:
+        raise MalformedInput(f"{source} is not valid JSON: {e}") from None
+    try:
+        return from_json_dict(d)
+    except (KeyError, TypeError, SkewLatticeError) as e:
+        raise MalformedInput(
+            f"{source} does not match the algebra format: {e}"
+        ) from None
+
+
 def from_json(text: str):
-    """Parse the JSON algebra format; returns (algebra, names-or-None)."""
-    return from_json_dict(json.loads(text))
+    """Parse the JSON algebra format; returns (algebra, names-or-None).
+    MalformedInput if `text` is not an algebra in that format."""
+    return _parse_algebra(lambda: json.loads(text), "algebra text")
 
 
 def read_json(path):
@@ -345,10 +362,4 @@ def load_algebra(path):
     """(algebra, names-or-None) from the JSON algebra file `path`;
     MalformedInput if it is not in that format.  The axioms are not
     checked here (see require_valid)."""
-    d = read_json(path)
-    try:
-        return from_json_dict(d)
-    except (KeyError, TypeError, SkewLatticeError) as e:
-        raise MalformedInput(
-            f"{path} does not match the algebra format: {e}"
-        ) from None
+    return _parse_algebra(lambda: read_json(path), path)

@@ -3,6 +3,12 @@ the rectangular coset decomposition, and the commuting-diagram check.
 
 All coset sets are computed by direct evaluation of their defining
 comprehensions; nothing is derived through quotient shortcuts.
+
+One rule says which cosets a flavor takes (`sides`): meet cosets are
+taken of the upper class through the elements of the lower class, and
+join cosets of the lower class through the elements of the upper class.
+`coset_map` forms each coset of a flavor once, and `CosetSystem.blocks`
+maps each of the six flavors to the partition its cosets make.
 """
 
 from __future__ import annotations
@@ -10,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import SkewLattice
-from .decompose import kimura
 from .errors import ElementNotInClass, InternalInconsistency
-from .greens import dclass_order, green_L, green_R, natural_order
+from .greens import dclass_order, natural_order
 
 # --- generic coset comprehensions ----------------------------------------
 # C is any element set; these are meaningful also for incomparable classes
@@ -55,17 +60,29 @@ def full_coset_join(s, C, x):
     return frozenset(t[t[c][x]][c] for c in C)
 
 
-# flavor -> (coset function, "meet" or "join").  Meet cosets are taken of
-# an upper class through elements below it, join cosets of a lower class
-# through elements above it; left and right are mirror images.
-COSET_FLAVORS = {
-    "full-join": (full_coset_join, "join"),
-    "right-join": (right_coset_join, "join"),
-    "left-join": (left_coset_join, "join"),
-    "full-meet": (full_coset_meet, "meet"),
-    "right-meet": (right_coset_meet, "meet"),
-    "left-meet": (left_coset_meet, "meet"),
-}
+# The six flavors, "<full|right|left>-<meet|join>", each naming the
+# comprehension <side>_coset_<kind> above; left and right are mirror images.
+COSET_FLAVORS = (
+    "full-join", "right-join", "left-join",
+    "full-meet", "right-meet", "left-meet",
+)
+
+
+def sides(flavor, upper, lower):
+    """(C, X) for a flavor, or for its kind "meet" or "join": the class C
+    whose cosets are taken and the class X of the elements they are taken
+    through.  Meet cosets are of the upper class through the lower, join
+    cosets of the lower class through the upper."""
+    return (upper, lower) if flavor.endswith("meet") else (lower, upper)
+
+
+def coset_map(s, flavor, C, X):
+    """{x: the flavor's coset of C through x} over x in X, each formed once.
+    The comprehension is looked up as a module attribute on every call, so
+    a wrapper put in its place sees each coset."""
+    side, kind = flavor.split("-")
+    fn = globals()[f"{side}_coset_{kind}"]
+    return {x: fn(s, C, x) for x in X}
 
 
 # --- comparable D-class pairs --------------------------------------------
@@ -80,12 +97,7 @@ class DClassPair:
 @dataclass(frozen=True)
 class CosetSystem:
     pair: DClassPair
-    full_cosets_in_lower: tuple
-    full_cosets_in_upper: tuple
-    right_cosets_in_lower: tuple  # blocks b ^ A
-    left_cosets_in_lower: tuple   # blocks A ^ b
-    right_cosets_in_upper: tuple  # blocks B v a
-    left_cosets_in_upper: tuple   # blocks a v B
+    blocks: dict  # flavor -> its cosets, sorted by least element
 
 
 @dataclass(frozen=True)
@@ -116,17 +128,12 @@ def _blocks(sets):
 def flat_cosets(s: SkewLattice, pair: DClassPair) -> CosetSystem:
     """All six coset partitions of the pair, with the partition,
     refinement and transversal properties verified."""
-    A, B = pair.upper, pair.lower
-    sys = CosetSystem(
-        pair=pair,
-        full_cosets_in_lower=_blocks(full_coset_meet(s, A, b) for b in B),
-        full_cosets_in_upper=_blocks(full_coset_join(s, B, a) for a in A),
-        right_cosets_in_lower=_blocks(right_coset_meet(s, A, b) for b in B),
-        left_cosets_in_lower=_blocks(left_coset_meet(s, A, b) for b in B),
-        right_cosets_in_upper=_blocks(right_coset_join(s, B, a) for a in A),
-        left_cosets_in_upper=_blocks(left_coset_join(s, B, a) for a in A),
-    )
-    _verify_system(s, sys)
+    maps = {
+        f: coset_map(s, f, *sides(f, pair.upper, pair.lower))
+        for f in COSET_FLAVORS
+    }
+    sys = CosetSystem(pair, {f: _blocks(m.values()) for f, m in maps.items()})
+    _verify_system(s, sys, maps)
     return sys
 
 
@@ -139,42 +146,28 @@ def _is_partition(blocks, universe):
     return seen == universe
 
 
-def _refines(fine, coarse):
-    return all(any(b <= c for c in coarse) for b in fine)
-
-
-def _verify_system(s, sys):
+def _verify_system(s, sys, maps):
     A, B = sys.pair.upper, sys.pair.lower
-    for blocks, universe in (
-        (sys.full_cosets_in_lower, B),
-        (sys.right_cosets_in_lower, B),
-        (sys.left_cosets_in_lower, B),
-        (sys.full_cosets_in_upper, A),
-        (sys.right_cosets_in_upper, A),
-        (sys.left_cosets_in_upper, A),
-    ):
-        if not _is_partition(blocks, universe):
+    for flavor, cosets in maps.items():
+        blocks = sys.blocks[flavor]
+        if not _is_partition(blocks, sides(flavor, A, B)[1]):
             raise InternalInconsistency("coset blocks do not partition")
         if len({len(b) for b in blocks}) != 1:
             raise InternalInconsistency("coset blocks not equipotent")
-    if not _refines(sys.right_cosets_in_lower, sys.full_cosets_in_lower):
-        raise InternalInconsistency("right cosets do not refine full cosets")
-    if not _refines(sys.left_cosets_in_lower, sys.full_cosets_in_lower):
-        raise InternalInconsistency("left cosets do not refine full cosets")
-    if not _refines(sys.right_cosets_in_upper, sys.full_cosets_in_upper):
-        raise InternalInconsistency("right cosets do not refine full cosets")
-    if not _refines(sys.left_cosets_in_upper, sys.full_cosets_in_upper):
-        raise InternalInconsistency("left cosets do not refine full cosets")
+        # refinement: the coset through x lies in the full one through x
+        full = maps["full-" + flavor.split("-")[1]]
+        if not all(c <= full[x] for x, c in cosets.items()):
+            raise InternalInconsistency(f"{flavor} cosets do not refine full cosets")
     # x in b^A iff x^A = b^A
+    right = maps["right-meet"]
     for b in B:
-        blk = right_coset_meet(s, A, b)
         for x in B:
-            if (x in blk) != (right_coset_meet(s, A, x) == blk):
+            if (x in right[b]) != (right[x] == right[b]):
                 raise InternalInconsistency("right coset membership law fails")
     # the right image set B^a is a transversal of the right cosets of A in B
     for a in A:
         img = left_coset_meet(s, B, a)  # B ^ a
-        for blk in sys.right_cosets_in_lower:
+        for blk in sys.blocks["right-meet"]:
             if len(img & blk) != 1:
                 raise InternalInconsistency("right image set not a transversal")
     # b v A = {a in A : a >=_L b}
@@ -400,68 +393,13 @@ def kimura_diagram_check(s: SkewLattice, pair: DClassPair, a: int, b: int):
     return True, None
 
 
-def flat_vs_full_correspondence(
-    s: SkewLattice, pair: DClassPair, x: int, y: int
-):
-    """Both sides of the two flat-vs-full coset equivalences for (x, y),
-    plus their factor-wise forms through the fibered decomposition: meet
-    cosets of the upper class when x, y lie in the lower class, join
-    cosets of the lower class when they lie in the upper one."""
-    A, B = pair.upper, pair.lower
-    if x in B and y in B:
-        kind, C = "meet", A
-    elif x in A and y in A:
-        kind, C = "join", B
-    else:
-        raise ElementNotInClass(
-            f"{x}, {y} must lie in the same class of the pair"
-        )
-    right, left, full = (
-        COSET_FLAVORS[f"{side}-{kind}"][0] for side in ("right", "left", "full")
-    )
-    same = lambda fn, t, D, u, v: fn(t, D, u) == fn(t, D, v)
-    direct_full = same(full, s, C, x, y)
-    direct_right = same(right, s, C, x, y)
-    direct_left = same(left, s, C, x, y)
-
-    dec = kimura(s)
-    xl, xr = dec.left_factor.class_of, dec.right_factor.class_of
-    sl, sr = dec.left_factor.quotient, dec.right_factor.quotient
-    CL = frozenset(xl[e] for e in C)
-    CR = frozenset(xr[e] for e in C)
-    sides = {
-        f"right-{kind}": (
-            direct_right, direct_full and green_R(s).same(x, y)
-        ),
-        f"left-{kind}": (direct_left, direct_full and green_L(s).same(x, y)),
-        "factor-full": (
-            same(full, sl, CL, xl[x], xl[y]) and same(full, sr, CR, xr[x], xr[y]),
-            direct_full,
-        ),
-        "factor-right": (
-            xl[x] == xl[y] and same(right, sr, CR, xr[x], xr[y]),
-            direct_right,
-        ),
-        "factor-left": (
-            xr[x] == xr[y] and same(left, sl, CL, xl[x], xl[y]),
-            direct_left,
-        ),
-    }
-    return {
-        name: {"flat": lhs, "full_and_green": rhs, "agree": lhs == rhs}
-        for name, (lhs, rhs) in sides.items()
-    }
-
-
 def coset_system_to_json(sys: CosetSystem):
-    blk = lambda blocks: [sorted(b) for b in blocks]
-    return {
-        "upper": sorted(sys.pair.upper),
-        "lower": sorted(sys.pair.lower),
-        "full_cosets_in_lower": blk(sys.full_cosets_in_lower),
-        "full_cosets_in_upper": blk(sys.full_cosets_in_upper),
-        "right_cosets_in_lower": blk(sys.right_cosets_in_lower),
-        "left_cosets_in_lower": blk(sys.left_cosets_in_lower),
-        "right_cosets_in_upper": blk(sys.right_cosets_in_upper),
-        "left_cosets_in_upper": blk(sys.left_cosets_in_upper),
-    }
+    """The pair's classes and its six partitions, each under the key
+    "<side>_cosets_in_<lower|upper>": meet cosets lie in the lower class,
+    join cosets in the upper."""
+    out = {"upper": sorted(sys.pair.upper), "lower": sorted(sys.pair.lower)}
+    for flavor, blocks in sys.blocks.items():
+        side, kind = flavor.split("-")
+        where = "lower" if kind == "meet" else "upper"
+        out[f"{side}_cosets_in_{where}"] = [sorted(b) for b in blocks]
+    return out

@@ -9,9 +9,9 @@ from __future__ import annotations
 from itertools import product
 
 from .cosets import COSET_FLAVORS as _FAMILY_OPS
-from .cosets import comparable_pairs, flat_vs_full_correspondence
+from .cosets import comparable_pairs, coset_map, sides
 from .core import SkewLattice
-from .decompose import skew_diamonds
+from .decompose import kimura, skew_diamonds
 from .greens import green_L, green_R
 from .reports import ConcordanceReport, Record
 from .varieties import (
@@ -59,32 +59,26 @@ def _aggregate(name, predicate_value, instances):
     return Record(instance=inst, lhs=predicate_value, rhs=holds)
 
 
-def _sides(upper, lower, kind):
-    """(C, X) for a flavor kind: meet cosets are taken of the upper class C
-    through elements x of the lower class X, join cosets the other way."""
-    return (upper, lower) if kind == "meet" else (lower, upper)
-
-
 def _coset_equivalences(s, diamonds, flavor):
     """Per pair (x, x') of X: equal cosets of the far class C through x
     and x' iff equal cosets of both incomparable classes A and B."""
-    fn, kind = _FAMILY_OPS[flavor]
     for di, (Jc, A, B, Mc) in enumerate(diamonds):
-        C, X = _sides(Jc, Mc, kind)
+        C, X = sides(flavor, Jc, Mc)
+        far, ma, mb = (coset_map(s, flavor, K, X) for K in (C, A, B))
         for x, xp in product(sorted(X), repeat=2):
-            lhs = fn(s, C, x) == fn(s, C, xp)
-            rhs = fn(s, A, x) == fn(s, A, xp) and fn(s, B, x) == fn(s, B, xp)
+            lhs = far[x] == far[xp]
+            rhs = ma[x] == ma[xp] and mb[x] == mb[xp]
             yield (di, x, xp), lhs == rhs
 
 
 def _inclusions(s, diamonds, flavor):
     """Per x in X: the cosets of A and B through x meet inside the coset
     of the far class C through x."""
-    fn, kind = _FAMILY_OPS[flavor]
     for di, (Jc, A, B, Mc) in enumerate(diamonds):
-        C, X = _sides(Jc, Mc, kind)
+        C, X = sides(flavor, Jc, Mc)
+        far, ma, mb = (coset_map(s, flavor, K, X) for K in (C, A, B))
         for x in sorted(X):
-            yield (di, x), (fn(s, A, x) & fn(s, B, x)) <= fn(s, C, x)
+            yield (di, x), (ma[x] & mb[x]) <= far[x]
 
 
 def _intersections(s, diamonds, labelled):
@@ -94,14 +88,15 @@ def _intersections(s, diamonds, labelled):
     of Mc before the join flavors run over Jc."""
     for di, (Jc, A, B, Mc) in enumerate(diamonds):
         for kind in ("meet", "join"):
-            C, X = _sides(Jc, Mc, kind)
+            C, X = sides(kind, Jc, Mc)
+            maps = [
+                (label, *(coset_map(s, flavor, K, X) for K in (C, A, B)))
+                for label, flavor in labelled
+                if flavor.endswith(kind)
+            ]
             for x in sorted(X):
-                for label, flavor in labelled:
-                    fn, fkind = _FAMILY_OPS[flavor]
-                    if fkind == kind:
-                        yield (di, label, x), fn(s, C, x) == (
-                            fn(s, A, x) & fn(s, B, x)
-                        )
+                for label, far, ma, mb in maps:
+                    yield (di, label, x), far[x] == (ma[x] & mb[x])
 
 
 def check_symmetry_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
@@ -190,12 +185,12 @@ def check_flat_symmetry_laws(
 def _pair_equalities(s, pairs, flavor, rel=None):
     """Per comparable pair and per (x, x') in X related by `rel` (every
     pair when None): whether the cosets of C through x and x' coincide."""
-    fn, kind = _FAMILY_OPS[flavor]
     for pi, pair in enumerate(pairs):
-        C, X = _sides(pair.upper, pair.lower, kind)
+        C, X = sides(flavor, pair.upper, pair.lower)
+        cosets = coset_map(s, flavor, C, X)
         for x, xp in product(sorted(X), repeat=2):
             if rel is None or rel.same(x, xp):
-                yield (pi, x, xp), fn(s, C, x) == fn(s, C, xp)
+                yield (pi, x, xp), cosets[x] == cosets[xp]
 
 
 def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
@@ -294,17 +289,24 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     return ConcordanceReport("normality-coset-laws", algebra, tuple(records), tuple(notes))
 
 
+def _far_near(s, diamond, flavor):
+    """The flavor's cosets of the far class C and of the near class B
+    through each element of the designated class A of an oriented
+    diamond (Jc, A, B, Mc)."""
+    Jc, A, B, Mc = diamond
+    C, _ = sides(flavor, Jc, Mc)
+    return coset_map(s, flavor, C, A), coset_map(s, flavor, B, A)
+
+
 def _diamond_family(s, diamond, flavor):
     """Whether, on one oriented diamond, the flat/full coset equality
     against the far class is equivalent to the one against the near class
     for every pair of the designated incomparable class."""
-    fn, kind = _FAMILY_OPS[flavor]
-    Jc, A, B, Mc = diamond
-    C, _ = _sides(Jc, Mc, kind)
-    for x, xp in product(sorted(A), repeat=2):
-        if (fn(s, C, x) == fn(s, C, xp)) != (fn(s, B, x) == fn(s, B, xp)):
-            return False
-    return True
+    far, near = _far_near(s, diamond, flavor)
+    return all(
+        (far[x] == far[xp]) == (near[x] == near[xp])
+        for x, xp in product(far, repeat=2)
+    )
 
 
 def check_cancellation_laws(
@@ -318,12 +320,12 @@ def check_cancellation_laws(
     notes = []
 
     def unconditional():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            for x, xp in product(sorted(A), repeat=2):
-                for flavor, (fn, kind) in _FAMILY_OPS.items():
-                    C, _ = _sides(Jc, Mc, kind)
-                    if fn(s, C, x) == fn(s, C, xp):
-                        yield (di, flavor, x, xp), fn(s, B, x) == fn(s, B, xp)
+        for di, d in enumerate(diamonds):
+            maps = [(f, *_far_near(s, d, f)) for f in _FAMILY_OPS]
+            for x, xp in product(sorted(d[1]), repeat=2):
+                for flavor, far, near in maps:
+                    if far[x] == far[xp]:
+                        yield (di, flavor, x, xp), near[x] == near[xp]
 
     holds, witness = _all(unconditional())
     records.append(
@@ -340,7 +342,12 @@ def check_cancellation_laws(
     lower = is_lower_symmetric(s)[0]
     upper = is_upper_symmetric(s)[0]
 
-    fam = lambda flavor: all(_diamond_family(s, d, flavor) for d in diamonds)
+    # each (flavor, diamond) family once; every law that reads them
+    # needs quasi-distributivity
+    families = {
+        f: [_diamond_family(s, d, f) for d in diamonds] for f in _FAMILY_OPS
+    } if qd else {}
+    fam = lambda flavor: all(families[flavor])
 
     if qd and sym:
         canc = is_cancellative(s)[0]
@@ -388,11 +395,11 @@ def check_cancellation_laws(
         # per diamond, the full-coset family is equivalent to the
         # conjunction of its two flat families
         def full_vs_flat():
-            for di, d in enumerate(diamonds):
+            for di in range(len(diamonds)):
                 for kind in ("join", "meet"):
-                    yield (di, kind), _diamond_family(s, d, f"full-{kind}") == (
-                        _diamond_family(s, d, f"right-{kind}")
-                        and _diamond_family(s, d, f"left-{kind}")
+                    yield (di, kind), families[f"full-{kind}"][di] == (
+                        families[f"right-{kind}"][di]
+                        and families[f"left-{kind}"][di]
                     )
 
         records.append(_aggregate("full-family-iff-flat-families", True, full_vs_flat()))
@@ -433,27 +440,59 @@ def check_cancellation_laws(
     )
 
 
+def _factor_map(factor, flavor, C, X):
+    """coset_map in the quotient algebra of a Kimura factor, on the
+    classes of C and of X."""
+    cls = factor.class_of
+    return coset_map(
+        factor.quotient, flavor, {cls[e] for e in C}, {cls[e] for e in X}
+    )
+
+
 def check_decomposition_laws(
     s: SkewLattice, algebra: str = "?"
 ) -> ConcordanceReport:
-    """Flat-vs-full coset correspondences, directly and through the
-    fibered-product projections, over every comparable class pair."""
+    """Flat-vs-full coset correspondences over every comparable class pair,
+    for each pair (x, y) of one of its classes X: meet cosets of the upper
+    class when X is the lower one, join cosets of the lower class when X
+    is the upper one.  Each flat equality is checked against the full one
+    with the Green's relation, and each coset equality against its
+    factor-wise form through the fibered decomposition S/R x_{S/D} S/L."""
+    dec = kimura(s)
+    xl, xr = dec.left_factor.class_of, dec.right_factor.class_of
+    rrel, lrel = green_R(s), green_L(s)
     records = []
     for pi, pair in enumerate(comparable_pairs(s)):
-        for side in (pair.lower, pair.upper):
-            for x, y in product(sorted(side), repeat=2):
-                result = flat_vs_full_correspondence(s, pair, x, y)
-                for clause, d in sorted(result.items()):
-                    records.append(
-                        Record(
-                            instance=(pi, clause, x, y),
-                            lhs=d["flat"],
-                            rhs=d["full_and_green"],
-                        )
-                    )
-    return ConcordanceReport(
-        "decomposition-coset-laws", algebra, tuple(records)
-    )
+        for kind in ("meet", "join"):
+            C, X = sides(kind, pair.upper, pair.lower)
+            full, right, left = (
+                coset_map(s, f"{side}-{kind}", C, X)
+                for side in ("full", "right", "left")
+            )
+            lfull, lleft = (
+                _factor_map(dec.left_factor, f"{side}-{kind}", C, X)
+                for side in ("full", "left")
+            )
+            rfull, rright = (
+                _factor_map(dec.right_factor, f"{side}-{kind}", C, X)
+                for side in ("full", "right")
+            )
+            for x, y in product(sorted(X), repeat=2):
+                lx, ly, rx, ry = xl[x], xl[y], xr[x], xr[y]
+                same_full, same_right, same_left = (
+                    m[x] == m[y] for m in (full, right, left)
+                )
+                clauses = (
+                    ("factor-full",
+                     lfull[lx] == lfull[ly] and rfull[rx] == rfull[ry],
+                     same_full),
+                    ("factor-left", rx == ry and lleft[lx] == lleft[ly], same_left),
+                    ("factor-right", lx == ly and rright[rx] == rright[ry], same_right),
+                    (f"left-{kind}", same_left, same_full and lrel.same(x, y)),
+                    (f"right-{kind}", same_right, same_full and rrel.same(x, y)),
+                )
+                records += [Record((pi, c, x, y), lhs, rhs) for c, lhs, rhs in clauses]
+    return ConcordanceReport("decomposition-coset-laws", algebra, tuple(records))
 
 
 ALL_LAW_CHECKS = {

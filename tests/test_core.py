@@ -18,6 +18,7 @@ from skewlat.core import (
 from skewlat.errors import (
     DimensionMismatch,
     EntryOutOfRange,
+    MalformedInput,
     NotASkewLattice,
 )
 
@@ -93,6 +94,17 @@ def test_json_round_trip(samples):
         assert t == s and names is None
     t, names = from_json(to_json(samples["chain3"], names=["a", "b", "c"]))
     assert names == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, "{nope", '{"n": 1}', "[]"],
+    ids=["deeply-nested", "not-json", "missing-tables", "not-an-object"],
+)
+def test_from_json_rejects_malformed_text(text):
+    # the same MalformedInput that load_algebra raises for the same file
+    with pytest.raises(MalformedInput):
+        from_json(text)
 
 
 def test_json_keys_sorted(samples):

@@ -45,14 +45,8 @@ def test_coset_blocks_within_a_side_are_equipotent(samples):
     for s in samples.values():
         for pair in comparable_pairs(s):
             sys = flat_cosets(s, pair)
-            for blocks in (
-                sys.full_cosets_in_lower,
-                sys.full_cosets_in_upper,
-                sys.right_cosets_in_lower,
-                sys.left_cosets_in_lower,
-                sys.right_cosets_in_upper,
-                sys.left_cosets_in_upper,
-            ):
+            assert len(sys.blocks) == 6
+            for blocks in sys.blocks.values():
                 assert len({len(b) for b in blocks}) == 1
 
 
@@ -166,16 +160,18 @@ def test_induced_subalgebra_is_valid(samples):
     assert sub.n == len(elems)
 
 
-def test_flat_vs_full_correspondence_agrees(catalogs, samples):
-    from skewlat.cosets import flat_vs_full_correspondence
+def test_flat_vs_full_correspondence_concordant(catalogs, samples):
+    # every flat-vs-full clause, direct and factor-wise, on every pair of
+    # elements of one class of every comparable pair
+    from skewlat.laws import check_decomposition_laws
 
     for s in _all_algebras(catalogs, samples):
-        for pair in comparable_pairs(s):
-            for side in (pair.lower, pair.upper):
-                for x, y in product(sorted(side), repeat=2):
-                    res = flat_vs_full_correspondence(s, pair, x, y)
-                    for name, clause in res.items():
-                        assert clause["agree"], (name, pair, x, y)
+        rep = check_decomposition_laws(s)
+        assert rep.verdict == "concordant", rep.witness
+        assert len(rep.records) == 5 * sum(
+            len(pair.lower) ** 2 + len(pair.upper) ** 2
+            for pair in comparable_pairs(s)
+        )
 
 
 def test_coset_system_json_shape(nc5_right):

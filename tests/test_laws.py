@@ -170,3 +170,59 @@ def test_law_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
             docs.append(doc)
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == LAW_REPORTS_SHA256
+
+
+def test_order6_witness_families_by_hand():
+    # o3.1 x o2.0, the smallest of the order-6 algebras on which the flat
+    # cancellation laws come out discordant.  Each coset family is computed
+    # here straight from the tables; only the comparison with the harness
+    # calls into it.  This pins the witness and decides nothing about it.
+    from itertools import product
+
+    from skewlat.catalog import enumerate_catalog
+    from skewlat.core import direct_product
+    from skewlat.decompose import skew_diamonds
+    from skewlat.laws import _FAMILY_OPS, _diamond_family
+
+    s = direct_product(
+        enumerate_catalog(3).algebras[1], enumerate_catalog(2).algebras[0]
+    )
+    m, j = s.meet, s.join
+    els = range(s.n)
+
+    # the definitions: cancellative on both sides, symmetric, and S/D
+    # distributive, with D read as x ^ y ^ x = x and y ^ x ^ y = y
+    for x, y, z in product(els, repeat=3):
+        if y != z:
+            assert (j[x][y], m[x][y]) != (j[x][z], m[x][z])
+            assert (j[y][x], m[y][x]) != (j[z][x], m[z][x])
+    for x, y in product(els, repeat=2):
+        assert (m[x][y] == m[y][x]) == (j[x][y] == j[y][x])
+    same_d = lambda u, v: m[m[u][v]][u] == u and m[m[v][u]][v] == v
+    for x, y, z in product(els, repeat=3):
+        assert same_d(m[x][j[y][z]], j[m[x][y]][m[x][z]])
+
+    Jc, A, B, Mc = map(frozenset, ({3, 5}, {2, 4}, {1}, {0}))
+    assert skew_diamonds(s) == [(Jc, B, A, Mc)]
+    coset = {
+        "right-meet": lambda C, x: {m[x][c] for c in C},
+        "left-meet": lambda C, x: {m[c][x] for c in C},
+        "full-meet": lambda C, x: {m[m[c][x]][c] for c in C},
+        "right-join": lambda C, x: {j[c][x] for c in C},
+        "left-join": lambda C, x: {j[x][c] for c in C},
+        "full-join": lambda C, x: {j[j[c][x]][c] for c in C},
+    }
+    for des, near in ((A, B), (B, A)):
+        for flavor, fn in coset.items():
+            far = Jc if flavor.endswith("meet") else Mc
+            value = all(
+                (fn(far, x) == fn(far, xp)) == (fn(near, x) == fn(near, xp))
+                for x, xp in product(des, repeat=2)
+            )
+            assert value == _diamond_family(s, (Jc, des, near, Mc), flavor)
+            # the one failing family: right-meet through A = {2, 4}
+            assert value == ((flavor, des) != ("right-meet", A))
+    assert set(coset) == set(_FAMILY_OPS)
+    fn = coset["right-meet"]
+    assert (fn(Jc, 2), fn(Jc, 4)) == ({2}, {4})
+    assert fn(B, 2) == fn(B, 4) == {0}

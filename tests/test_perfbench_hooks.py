@@ -45,3 +45,38 @@ def test_perfbench_hooks_install_and_restore(monkeypatch):
     moved = [k for k in before if after[k] is not before[k]]
     assert moved == []
     assert vars(PrimeFieldMatrix) == methods
+
+
+def test_perfbench_counts_every_coset(monkeypatch, tmp_path, capsys):
+    # cosets.coset_primitive is counted by wrappers put in place of the six
+    # comprehensions; a caller that reaches them another way is invisible to
+    # it.  A profile hook on their code objects counts every call.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import layers
+    import tracing
+
+    from skewlat import cli, cosets
+    from skewlat.catalog import nc5
+    from skewlat.core import to_json
+
+    path = tmp_path / "nc5.json"
+    path.write_text(to_json(nc5("right")))
+    codes = {getattr(cosets, name).__code__ for name in layers.COSET_PRIMITIVES}
+    for command in ("cosets", "verify"):
+        seen = [0]
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                seen[0] += 1
+
+        tracer = tracing.Tracer()
+        layers.instrument(tracer)
+        sys.setprofile(hook)
+        try:
+            assert cli.main([command, str(path)]) == 0
+        finally:
+            sys.setprofile(None)
+            tracer.restore()
+        capsys.readouterr()
+        assert seen[0] > 0
+        assert tracer.calls["cosets.coset_primitive"] == seen[0], command
