@@ -208,11 +208,8 @@ def _parse_pairs(text):
 
 
 def cmd_matrix(args):
-    dims = tuple(_int_list(args.dims, "--dims"))
-    if len(dims) != 3:
-        raise UsageError("--dims must give three block sizes, e.g. 1,1,1")
-    if dims != (1, 1, 1):
-        raise UsageError("scalar parameters require --dims 1,1,1")
+    # the parameters are scalars, so every block is 1 x 1
+    dims = (1, 1, 1)
     block = lambda v: ((v,),)
     if args.sweep:
         field = range(args.p)
@@ -312,8 +309,17 @@ def cmd_export(args):
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as every other usage error is reported:
+    one "error: ..." line on stderr, and exit 2."""
+
+    def error(self, message):
+        _info(f"error: {message}")
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="skewlat", description="Compute with finite skew lattices."
     )
     sub = ap.add_subparsers(dest="command", required=True)
@@ -356,7 +362,6 @@ def build_parser():
     p.add_argument(
         "--construction", choices=("right", "left"), default="right"
     )
-    p.add_argument("--dims", default="1,1,1", help="three block sizes")
     p.add_argument(
         "--sweep",
         action="store_true",

@@ -298,11 +298,11 @@ def _far_near(s, diamond, flavor):
     return coset_map(s, flavor, C, A), coset_map(s, flavor, B, A)
 
 
-def _diamond_family(s, diamond, flavor):
+def _diamond_family(far, near):
     """Whether, on one oriented diamond, the flat/full coset equality
     against the far class is equivalent to the one against the near class
-    for every pair of the designated incomparable class."""
-    far, near = _far_near(s, diamond, flavor)
+    for every pair of the designated incomparable class, given the
+    flavor's ``_far_near`` maps."""
     return all(
         (far[x] == far[xp]) == (near[x] == near[xp])
         for x, xp in product(far, repeat=2)
@@ -316,14 +316,15 @@ def check_cancellation_laws(
     implications on every algebra, and hypothesis-gated equivalences on
     quasi-distributive/symmetric algebras."""
     diamonds = _oriented_diamonds(s)
+    # the far and near maps of each (diamond, flavor), formed once
+    maps = [{f: _far_near(s, d, f) for f in _FAMILY_OPS} for d in diamonds]
     records = []
     notes = []
 
     def unconditional():
         for di, d in enumerate(diamonds):
-            maps = [(f, *_far_near(s, d, f)) for f in _FAMILY_OPS]
             for x, xp in product(sorted(d[1]), repeat=2):
-                for flavor, far, near in maps:
+                for flavor, (far, near) in maps[di].items():
                     if far[x] == far[xp]:
                         yield (di, flavor, x, xp), near[x] == near[xp]
 
@@ -345,7 +346,7 @@ def check_cancellation_laws(
     # each (flavor, diamond) family once; every law that reads them
     # needs quasi-distributivity
     families = {
-        f: [_diamond_family(s, d, f) for d in diamonds] for f in _FAMILY_OPS
+        f: [_diamond_family(*m[f]) for m in maps] for f in _FAMILY_OPS
     } if qd else {}
     fam = lambda flavor: all(families[flavor])
 

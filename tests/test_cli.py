@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -152,6 +153,32 @@ def test_matrix_command(capsys):
     d = json.loads(out)
     assert d["coset_report"]["verdict"] == "concordant"
     assert len(d["model"]["matrices"]) == 18
+
+
+@pytest.mark.parametrize(
+    "construction, build",
+    [
+        ("right", matrix_rings.primitive_right_handed),
+        ("left", matrix_rings.primitive_left_handed),
+    ],
+)
+def test_matrix_parses_parameter_pairs(capsys, construction, build):
+    code, out, _ = run(
+        capsys,
+        "matrix",
+        "--p",
+        "3",
+        "--construction",
+        construction,
+        "--a-params",
+        "1,2",
+        "--b-params",
+        "0,1",
+    )
+    assert code == 0
+    block = lambda v: ((v,),)
+    direct = build(3, (1, 1, 1), [(block(1), block(2))], [(block(0), block(1))])
+    assert json.loads(out)["model"]["matrices"] == direct.to_json_dict()["matrices"]
 
 
 def test_verify_files(capsys, nc5_file):
@@ -566,3 +593,20 @@ def test_structure_outputs_match_golden_digest(capsys, tmp_path, catalogs):
             code, out, _ = run(capsys, command, str(path))
             digest.update(f"{name} {command} {code}\n{out}".encode())
     assert digest.hexdigest() == STRUCTURE_OUTPUTS_SHA256
+
+
+def test_classify_and_verify_at_the_order_cap(capsys, tmp_path):
+    # chain(8) x chain(8): 64 elements, at core.CAP, and 64 D-classes
+    from skewlat.core import CAP, direct_product
+
+    s = direct_product(chain(8), chain(8))
+    assert s.n == CAP
+    path = tmp_path / "c8xc8.json"
+    path.write_text(to_json(s))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0
+    assert json.loads(out)["quasi-distributive"]["holds"] is True
+    code, _, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert time.perf_counter() - start < 60

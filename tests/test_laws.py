@@ -113,7 +113,12 @@ def test_decomposition_vacuous_without_comparable_pairs():
 def test_single_factor_flat_law_fails_on_nc5(nc5_right, nc5_left):
     # the reason the cancellation harness uses the conjunction form: one
     # coset-cancellative identity alone does not match one flat family
-    from skewlat.laws import _FAMILY_OPS, _diamond_family, _oriented_diamonds
+    from skewlat.laws import (
+        _FAMILY_OPS,
+        _diamond_family,
+        _far_near,
+        _oriented_diamonds,
+    )
     from skewlat.varieties import (
         is_left_coset_cancellative,
         is_right_coset_cancellative,
@@ -125,7 +130,10 @@ def test_single_factor_flat_law_fails_on_nc5(nc5_right, nc5_left):
         assert lcc != rcc  # each variant satisfies exactly one
         single = lcc or rcc
         families = {
-            flavor: all(_diamond_family(s, d, flavor) for d in _oriented_diamonds(s))
+            flavor: all(
+                _diamond_family(*_far_near(s, d, flavor))
+                for d in _oriented_diamonds(s)
+            )
             for flavor in _FAMILY_OPS
         }
         # no single flat family is equivalent to the single identity
@@ -182,7 +190,7 @@ def test_order6_witness_families_by_hand():
     from skewlat.catalog import enumerate_catalog
     from skewlat.core import direct_product
     from skewlat.decompose import skew_diamonds
-    from skewlat.laws import _FAMILY_OPS, _diamond_family
+    from skewlat.laws import _FAMILY_OPS, _diamond_family, _far_near
 
     s = direct_product(
         enumerate_catalog(3).algebras[1], enumerate_catalog(2).algebras[0]
@@ -219,7 +227,9 @@ def test_order6_witness_families_by_hand():
                 (fn(far, x) == fn(far, xp)) == (fn(near, x) == fn(near, xp))
                 for x, xp in product(des, repeat=2)
             )
-            assert value == _diamond_family(s, (Jc, des, near, Mc), flavor)
+            assert value == _diamond_family(
+                *_far_near(s, (Jc, des, near, Mc), flavor)
+            )
             # the one failing family: right-meet through A = {2, 4}
             assert value == ((flavor, des) != ("right-meet", A))
     assert set(coset) == set(_FAMILY_OPS)

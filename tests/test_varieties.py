@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +254,65 @@ def test_alternative_symmetry_axioms_agree(catalogs, catalog5):
                 check_identity(s, primary)[0]
                 == check_identity(s, alternative)[0]
             ), (primary.name, s)
+
+
+def _has_m3_or_n5(t):
+    """Whether the lattice t has a five-element sublattice that breaks
+    distributivity, by a scan over every 5-subset of its elements.
+
+    The reference for is_quasi_distributive, kept as an independent
+    cross-check: by the M3-N5 theorem of Dedekind and Birkhoff, a lattice
+    is distributive iff it has no M3 or N5 sublattice, and both have five
+    elements.
+    """
+    for sub in combinations(range(t.n), 5):
+        if all(
+            t.meet[a][b] in sub and t.join[a][b] in sub
+            for a in sub
+            for b in sub
+        ) and any(
+            t.meet[a][t.join[b][c]] != t.join[t.meet[a][b]][t.meet[a][c]]
+            for a, b, c in product(sub, repeat=3)
+        ):
+            return True
+    return False
+
+
+def test_quasi_distributive_agrees_with_the_sublattice_scan(catalogs, catalog5):
+    lattices = [s for s in catalog5.algebras if kimura(s).base.quotient.n == 5]
+    algebras = [s for c in catalogs.values() for s in c.algebras]
+    algebras += list(catalog5.algebras)
+    algebras += [
+        direct_product(s, t)
+        for s in lattices
+        for t in (rectangular(1, 2), chain(2), nc5("right"))
+    ]
+    failing = 0
+    for s in algebras:
+        holds = is_quasi_distributive(s)[0]
+        assert holds != _has_m3_or_n5(kimura(s).base.quotient)
+        failing += not holds
+    # o5.0 and o5.1, and the three products of each
+    assert failing == 2 + 2 * 3
+
+
+def test_quasi_distributive_witnesses_of_order_5(catalog5):
+    # o5.0 is M3: 0 < 1, 2, 3 < 4, with 1 ^ (2 v 3) = 1 ^ 4 = 1 and
+    # (1 ^ 2) v (1 ^ 3) = 0 v 0 = 0.  Each a = 0 gives 0 on both sides.
+    # For a = 1 both sides are 1 when b or c is 1 or 4, and 0 when b and c
+    # both lie in {0, 2} or both in {0, 3}; (1, 2, 3) is the least triple
+    # left.
+    m3, n5 = catalog5.algebras[:2]
+    assert m3.meet[1][m3.join[2][3]] == 1
+    assert m3.join[m3.meet[1][2]][m3.meet[1][3]] == 0
+    # o5.1 is N5: 0 < 1 < 4 and 0 < 2 < 3 < 4, with 3 ^ (1 v 2) = 3 ^ 4 = 3
+    # and (3 ^ 1) v (3 ^ 2) = 0 v 2 = 2.  Each a = 0 gives 0 on both sides.
+    # For a = 1 and a = 2, both sides are a when b or c lies above a, and
+    # 0 otherwise; for a = 3, b = 0, and b = 1 with c < 2, give 3 ^ c on
+    # both sides.
+    assert n5.meet[3][n5.join[1][2]] == 3
+    assert n5.join[n5.meet[3][1]][n5.meet[3][2]] == 2
+    for s in (m3, n5):
+        assert kimura(s).base.quotient.meet == s.meet
+    assert is_quasi_distributive(m3) == (False, (1, 2, 3))
+    assert is_quasi_distributive(n5) == (False, (3, 1, 2))
