@@ -187,29 +187,34 @@ def meet_tables(n, prefix=None):
         t[pos] = -1
 
     fill(0)
+    # fill refers to itself through its closure; break that cycle, or it
+    # keeps `out` alive until the next full garbage collection
+    del fill
     return out
 
 
 def join_completions(meet, n):
     """All join tables turning the given meet band into a skew lattice."""
     # Absorption pins every cell of the form (a, a^b) and (b^a, a); b = a
-    # pins the diagonal.
+    # pins the diagonal.  No two pins of a band disagree: two row pins or
+    # two column pins of one cell share its row or column, and a row pin
+    # (a, a^b) on the column pin (b'^a', a') gives a = b'^a' and a^b = a',
+    # so a^a' = a^a^b = a' and a^a' = b'^a'^a' = a, hence a = a'.
     pins = {}
     for a in range(n):
         for b in range(n):
-            for pos in (a * n + meet[a * n + b], meet[b * n + a] * n + a):
-                if pins.setdefault(pos, a) != a:
-                    return []
+            pins[a * n + meet[a * n + b]] = a
+            pins[meet[b * n + a] * n + a] = a
     # x^(xvy)=x and (xvy)^y=y restrict the remaining cells.  Most bands
-    # fail here, so this runs before the pins' associativity check.
+    # fail here, so this runs before the pins' associativity check.  A
+    # pinned cell passes by idempotency and associativity alone: (a, a^b)
+    # with z = a has a^a = a and a^(a^b) = a^b, and (b^a, a) with z = a
+    # has (b^a)^a = b^a and a^a = a.
     cand = {}
     for x in range(n):
         for y in range(n):
             pos = x * n + y
             if pos in pins:
-                z = pins[pos]
-                if meet[x * n + z] != x or meet[z * n + y] != y:
-                    return []
                 continue
             cs = [
                 z

@@ -136,9 +136,7 @@ def enumerate_catalog(
     check_order_cap(order, method)
     if method == "pruned-search":
         if workers <= 1:
-            found = set()
-            for prefix in _prefixes(order):
-                found |= _search_task((order, prefix))
+            found = _search_task((order, None))
         else:
             tasks = [(order, p) for p in _prefixes(order)]
             with multiprocessing.Pool(workers) as pool:

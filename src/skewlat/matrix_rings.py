@@ -347,19 +347,16 @@ def lower_class_matrix_left(p, block_dims, b21=None, b31=None) -> PrimeFieldMatr
 
 
 def _check_primitive(msl: MatrixSkewLattice):
-    d, leq = dclass_order(msl.abstract)
+    """The (upper, lower) classes of a primitive algebra."""
+    d, _ = dclass_order(msl.abstract)
     if len(d.blocks) != 2:
         raise InternalInconsistency(
             f"expected exactly 2 classes, found {len(d.blocks)}"
         )
-    comparable = leq[0][1] or leq[1][0]
-    if not comparable:
+    pairs = cosets.comparable_pairs(msl.abstract)
+    if not pairs:
         raise InternalInconsistency("the two classes are not comparable")
-    if leq[0][1]:  # class 0 below class 1
-        lower, upper = d.blocks
-    else:
-        upper, lower = d.blocks
-    return upper, lower
+    return pairs[0].upper, pairs[0].lower
 
 
 def _primitive(p, block_dims, a_params, b_params, handed):

@@ -18,7 +18,7 @@ reference the staged check is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
+from operator import eq, getitem
 
 from .core import SkewLattice, _cached
 from .errors import (
@@ -283,10 +283,6 @@ def _identity_predicate(ident):
     return pred
 
 
-def is_rectangular(s):
-    return check_identity(s, RECTANGULAR)
-
-
 def _handed(s, rel):
     """rel = D; witness is the least pair D-related but not rel-related."""
     d = green_D(s)
@@ -317,6 +313,20 @@ def _commutation_implies(t, u):
     return True, None
 
 
+def _all_of(*preds):
+    """The conjunction of preds; its witness is that of the first one that
+    fails, and the ones after it are not run."""
+
+    def pred(s):
+        for p in preds:
+            ok, w = p(s)
+            if not ok:
+                return ok, w
+        return True, None
+
+    return pred
+
+
 def is_upper_symmetric(s):
     """x^y = y^x implies xvy = yvx, checked over all pairs."""
     return _commutation_implies(s.meet, s.join)
@@ -327,59 +337,54 @@ def is_lower_symmetric(s):
     return _commutation_implies(s.join, s.meet)
 
 
-def is_symmetric(s):
-    ok, w = is_upper_symmetric(s)
-    if not ok:
-        return ok, w
-    return is_lower_symmetric(s)
+is_symmetric = _all_of(is_upper_symmetric, is_lower_symmetric)
 
 
-def _cancellative(s, left, right):
-    """Least (a, b, c) with a != b that c fails to tell apart: on the left,
-    cva=cvb & c^a=c^b; on the right, avc=bvc & a^c=b^c."""
-    mt, jt = s.meet, s.join
-    for a in range(s.n):
-        for b in range(s.n):
-            if a == b:
-                continue
-            for c in range(s.n):
-                if left and jt[c][a] == jt[c][b] and mt[c][a] == mt[c][b]:
-                    return False, (a, b, c)
-                if right and jt[a][c] == jt[b][c] and mt[a][c] == mt[b][c]:
-                    return False, (a, b, c)
+def _separated(keys):
+    """Every c tells every a != b apart: keys[a][c] != keys[b][c].  The
+    witness is the least (a, b, c), a != b, with keys[a][c] == keys[b][c].
+
+    The condition is symmetric in a and b, so a failing (a, b, c) with
+    b < a has the lesser (b, a, c) beside it, and the least one has a < b:
+    only those pairs are compared, two rows at a time."""
+    n = len(keys)
+    for a in range(n):
+        row = keys[a]
+        for b in range(a + 1, n):
+            same = tuple(map(eq, row, keys[b]))
+            if True in same:
+                return False, (a, b, same.index(True))
     return True, None
-
-
-def is_cancellative(s):
-    """zvx=zvy & z^x=z^y force x=y, and the mirrored version."""
-    return _cancellative(s, left=True, right=True)
-
-
-def is_right_cancellative(s):
-    return _cancellative(s, left=False, right=True)
 
 
 def is_left_cancellative(s):
-    return _cancellative(s, left=True, right=False)
+    """cva=cvb & c^a=c^b force a=b."""
+    meet_col, join_col = _columns(s)
+    return _separated([tuple(zip(j, m)) for j, m in zip(join_col, meet_col)])
+
+
+def is_right_cancellative(s):
+    """avc=bvc & a^c=b^c force a=b."""
+    return _separated([tuple(zip(j, m)) for j, m in zip(s.join, s.meet)])
+
+
+def is_cancellative(s):
+    """Left- and right-cancellative.  The witness is the lesser of the two
+    sides' witnesses: the least (a, b, c) that either side fails on."""
+    failed = [
+        w for ok, w in (is_left_cancellative(s), is_right_cancellative(s))
+        if not ok
+    ]
+    return (False, min(failed)) if failed else (True, None)
 
 
 def is_simply_cancellative(s):
-    """Least (a, b, c) with a != b that c fails to tell apart:
-    avcva=bvcvb & a^c^a=b^c^b."""
+    """avcva=bvcvb & a^c^a=b^c^b force a=b."""
     mt, jt = s.meet, s.join
     rng = range(s.n)
-    # sandwiches[a][c] = (a v c v a, a ^ c ^ a)
-    sandwiches = [
-        [(jt[jt[a][c]][a], mt[mt[a][c]][a]) for c in rng] for a in rng
-    ]
-    for a in rng:
-        for b in rng:
-            if a == b:
-                continue
-            for c in rng:
-                if sandwiches[a][c] == sandwiches[b][c]:
-                    return False, (a, b, c)
-    return True, None
+    return _separated(
+        [[(jt[jt[a][c]][a], mt[mt[a][c]][a]) for c in rng] for a in rng]
+    )
 
 
 def is_quasi_distributive(s):
@@ -402,20 +407,9 @@ def is_right_coset_cancellative(s):
     return is_cancellative(kimura(s).right_factor.quotient)
 
 
-def is_upper_cancellative(s):
-    ok, w = is_upper_symmetric(s)
-    if not ok:
-        return ok, w
-    return is_simply_cancellative(s)
-
-
-def is_lower_cancellative(s):
-    ok, w = is_lower_symmetric(s)
-    if not ok:
-        return ok, w
-    return is_simply_cancellative(s)
-
-
+is_upper_cancellative = _all_of(is_upper_symmetric, is_simply_cancellative)
+is_lower_cancellative = _all_of(is_lower_symmetric, is_simply_cancellative)
+is_rectangular = _identity_predicate(RECTANGULAR)
 is_normal = _identity_predicate(NORMAL)
 is_conormal = _identity_predicate(CONORMAL)
 is_left_normal = _identity_predicate(LEFT_NORMAL)

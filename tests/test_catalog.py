@@ -83,8 +83,9 @@ def test_worker_count_does_not_change_the_catalog(catalog5):
     a = enumerate_catalog(4, workers=1)
     b = enumerate_catalog(4, workers=4)
     assert a.algebras == b.algebras
-    # at order 5, 612 of the 625 worker prefixes yield no band, so the
-    # split is uneven; the union must still be the serial search
+    # one worker searches the whole tree at once, a pool searches it one
+    # prefix at a time; at order 5, 612 of the 625 prefixes yield no band,
+    # so the split is uneven, and the union must still be the serial search
     assert enumerate_catalog(5, workers=2).algebras == catalog5.algebras
 
 

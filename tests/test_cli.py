@@ -195,6 +195,57 @@ def test_verify_law_subset(capsys, nc5_file):
     assert [r["law"] for r in json.loads(out)] == ["symmetry-coset-laws"]
 
 
+def test_verify_catalog_matches_verify_order(capsys, tmp_path, monkeypatch):
+    # a catalog written by `enumerate --out` verifies as the same algebras
+    # that `verify --order` enumerates, under catalog labels
+    monkeypatch.delenv("SKEWLAT_CACHE_DIR", raising=False)
+    directory = str(tmp_path / "cat3")
+    code, _, _ = run(capsys, "enumerate", "--order", "3", "--out", directory)
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--catalog", directory)
+    assert code == 0
+    from_catalog = json.loads(out)
+    code, out, _ = run(capsys, "verify", "--order", "3")
+    assert code == 0
+    from_order = [r for r in json.loads(out) if r["algebra"].startswith("order3-")]
+    labels = sorted({r["algebra"] for r in from_catalog})
+    assert labels == [f"catalog-order3-{i:04d}" for i in range(7)]
+    unlabelled = lambda reports: [dict(r, algebra=None) for r in reports]
+    assert unlabelled(from_catalog) == unlabelled(from_order)
+
+
+def test_verify_discordant_file_exit_1(capsys, tmp_path):
+    # o3.1 x o2.0, an order-6 algebra whose cancellation laws come out
+    # discordant; each discordant report gets one stderr line
+    from skewlat.catalog import enumerate_catalog
+    from skewlat.core import direct_product
+
+    s = direct_product(
+        enumerate_catalog(3).algebras[1], enumerate_catalog(2).algebras[0]
+    )
+    path = tmp_path / "o3.1xo2.0.json"
+    path.write_text(to_json(s))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    discordant = [r for r in json.loads(out) if r["verdict"] == "discordant"]
+    assert [r["law"] for r in discordant] == ["cancellation-coset-laws"]
+    assert f"  discordant: {path} / cancellation-coset-laws: " in err
+
+
+def test_internal_inconsistency_exit_3(capsys, monkeypatch):
+    from skewlat.errors import InternalInconsistency
+
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("self-check failed")
+
+    monkeypatch.delenv("SKEWLAT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli._catalog, "enumerate_catalog", broken)
+    code, out, err = run(capsys, "enumerate", "--order", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal inconsistency: self-check failed\n"
+
+
 def test_verify_unknown_law(capsys, nc5_file):
     code, _, _ = run(capsys, "verify", nc5_file, "--laws", "nope")
     assert code == 2
@@ -385,6 +436,7 @@ _RAGGED = {"n": 2, "meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]]}
 _OUT_OF_RANGE = {"n": 2, "meet": [[0, 0], [0, 5]], "join": [[0, 1], [1, 1]]}
 _BOOLEAN = {"n": 2, "meet": [[0, 0], [0, True]], "join": [[0, 1], [1, True]]}
 _CHAIN2 = {"n": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]]}
+_WRONG_N = dict(_CHAIN2, n=3)
 _SHORT_NAMES = dict(_CHAIN2, names=["a"])
 _NON_STRING_NAMES = dict(_CHAIN2, names=["a", 3])
 _INDEX_WITHOUT_ALGEBRAS = {"order": 2, "provenance": "pruned-search"}
@@ -424,8 +476,12 @@ _DEEP = "[" * 100000 + "]" * 100000
         pytest.param(_OUT_OF_RANGE, ["classify"], id="classify-out-of-range"),
         pytest.param(_BOOLEAN, ["validate"], id="validate-boolean"),
         pytest.param(_BOOLEAN, ["classify"], id="classify-boolean"),
+        pytest.param(_WRONG_N, ["validate"], id="validate-wrong-n"),
         pytest.param(
             None, ["matrix", "--p", "3", "--a-params", "a,b"], id="a-params"
+        ),
+        pytest.param(
+            None, ["matrix", "--p", "3", "--a-params", "1,2,3"], id="a-params-triple"
         ),
         pytest.param(None, ["matrix", "--p", "3", "--dims", "1,x,1"], id="dims"),
         pytest.param(None, ["enumerate", "--order", "0"], id="order-0"),

@@ -1,6 +1,8 @@
+import random
 from itertools import product
 
-from skewlat.core import chain, direct_product, rectangular
+from skewlat.catalog import _flat, _from_flat
+from skewlat.core import SkewLattice, chain, direct_product, rectangular, validate
 from skewlat.decompose import (
     find_lattice_section,
     kimura,
@@ -9,6 +11,7 @@ from skewlat.decompose import (
     skew_diamonds,
 )
 from skewlat.greens import green_D, green_L, green_R
+from skewlat.kernels import relabel
 from skewlat.varieties import is_left_handed, is_right_handed
 
 
@@ -109,3 +112,54 @@ def test_nc5_has_a_lattice_section(nc5_right):
     sec = find_lattice_section(nc5_right)
     assert sec.lattice_section is not None
     assert len(sec.lattice_section) == 4
+
+
+def _assert_lattice_section(s, section):
+    d = green_D(s)
+    assert sorted(d.block_of[x] for x in section) == list(range(len(d.blocks)))
+    for a, b in product(section, repeat=2):
+        assert s.m(a, b) in section and s.j(a, b) in section
+
+
+# o5.28 relabelled: classes {1} < {0, 4} < {2, 3}, and
+# the least element of each, {0, 1, 2}, is not closed, since 0 ^ 2 = 4
+_LEAST_NOT_CLOSED = SkewLattice(
+    [[0, 1, 4, 0, 4], [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4],
+     [0, 1, 4, 0, 4]],
+    [[0, 0, 3, 3, 0], [0, 1, 2, 3, 4], [2, 2, 2, 2, 2], [3, 3, 3, 3, 3],
+     [4, 4, 2, 2, 4]],
+)
+
+
+def _relabelled(s, perm):
+    return _from_flat(relabel(_flat(s.meet), s.n, perm),
+                      relabel(_flat(s.join), s.n, perm), s.n)
+
+
+def test_lattice_section_search_backtracks(
+    catalogs, catalog5, nc5_right, nc5_left, non_symmetric7
+):
+    # catalogs are canonical, so their least elements tend to form a
+    # section at once; relabelled copies make the search reject candidates.
+    # On the relabelled o7.112 every candidate of some class is rejected,
+    # so the search also returns to an earlier class.
+    assert validate(_LEAST_NOT_CLOSED.meet, _LEAST_NOT_CLOSED.join).valid
+    rng = random.Random(1)
+    inputs = [
+        _LEAST_NOT_CLOSED,
+        _relabelled(non_symmetric7["o7.112"], (6, 5, 0, 1, 2, 4, 3)),
+    ]
+    for s in [*(t for n in range(1, 5) for t in catalogs[n].algebras),
+              *catalog5.algebras, nc5_right, nc5_left]:
+        for _ in range(5):
+            perm = list(range(s.n))
+            rng.shuffle(perm)
+            inputs.append(_relabelled(s, perm))
+    rejected = 0
+    for s in inputs:
+        section = find_lattice_section(s).lattice_section
+        _assert_lattice_section(s, section)
+        # the search takes each class's least element unless it is rejected
+        rejected += section != {min(b) for b in green_D(s).blocks}
+    assert find_lattice_section(_LEAST_NOT_CLOSED).lattice_section == {0, 1, 3}
+    assert rejected > 1

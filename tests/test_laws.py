@@ -105,6 +105,17 @@ def test_flat_symmetry_notes_when_not_symmetric():
     assert rep.verdict == "concordant"
 
 
+def test_flat_symmetry_notes_a_non_symmetric_algebra(non_symmetric7):
+    for name, s in non_symmetric7.items():
+        rep = check_flat_symmetry_laws(s, name)
+        assert rep.notes[-1] == (
+            "not applicable: symmetric-flat-intersections (not symmetric)"
+        )
+        assert "symmetric-flat-intersections" not in {
+            r.instance[0] for r in rep.records
+        }
+
+
 def test_decomposition_vacuous_without_comparable_pairs():
     rep = check_decomposition_laws(rectangular(3, 2), "rect32")
     assert rep.verdict == "concordant"

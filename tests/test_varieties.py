@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlat.core import chain, direct_product, mirror, rectangular
+from skewlat.core import chain, direct_product, dual, mirror, rectangular, validate
 from skewlat.decompose import kimura
 from skewlat.errors import ArityMismatch, ArityTooLarge
 from skewlat.catalog import nc5
@@ -24,11 +24,18 @@ from skewlat.varieties import (
     commutation_classes,
     eval_term,
     is_cancellative,
+    is_left_cancellative,
     is_left_handed,
+    is_lower_cancellative,
+    is_lower_symmetric,
     is_quasi_distributive,
     is_rectangular,
+    is_right_cancellative,
     is_right_handed,
+    is_simply_cancellative,
     is_symmetric,
+    is_upper_cancellative,
+    is_upper_symmetric,
     left_center,
     right_center,
 )
@@ -316,3 +323,73 @@ def test_quasi_distributive_witnesses_of_order_5(catalog5):
         assert kimura(s).base.quotient.meet == s.meet
     assert is_quasi_distributive(m3) == (False, (1, 2, 3))
     assert is_quasi_distributive(n5) == (False, (3, 1, 2))
+
+
+def _least_collision(s, key):
+    """The cancellation definitions read directly: the least (a, b, c),
+    a != b, with key(a, c) == key(b, c), or None."""
+    rng = range(s.n)
+    return next(
+        ((a, b, c) for a, b, c in product(rng, repeat=3)
+         if a != b and key(a, c) == key(b, c)),
+        None,
+    )
+
+
+def test_cancellation_witnesses_are_the_least_triples(catalogs, samples):
+    for s in [*(t for cat in catalogs.values() for t in cat.algebras),
+              *samples.values()]:
+        m, j = s.meet, s.join
+        left = _least_collision(s, lambda a, c: (j[c][a], m[c][a]))
+        right = _least_collision(s, lambda a, c: (j[a][c], m[a][c]))
+        simple = _least_collision(
+            s, lambda a, c: (j[j[a][c]][a], m[m[a][c]][a])
+        )
+        sides = [w for w in (left, right) if w is not None]
+        for pred, least in (
+            (is_left_cancellative, left),
+            (is_right_cancellative, right),
+            (is_simply_cancellative, simple),
+            (is_cancellative, min(sides) if sides else None),
+        ):
+            assert pred(s) == (least is None, least), pred.__name__
+
+
+# the failing half of each fixture and the least pair that breaks it;
+# its dual fails the other half at the same pair
+_SYMMETRY_FAILURES = {
+    "o7.60": ("lower", (1, 4)),
+    "o7.112": ("upper", (1, 3)),
+    "o7.138": ("upper", (1, 3)),
+    "o7.510": ("lower", (1, 5)),
+}
+
+
+def test_non_symmetric_order7_symmetry_verdicts(non_symmetric7):
+    for name, s in non_symmetric7.items():
+        assert validate(s.meet, s.join).valid, name
+        side, pair = _SYMMETRY_FAILURES[name]
+        other = {"upper": "lower", "lower": "upper"}[side]
+        for t, failing in ((s, side), (dual(s), other)):
+            # upper: a^b = b^a but avb != bva; lower: the other way round
+            commuting, differing = (
+                (t.meet, t.join) if failing == "upper" else (t.join, t.meet)
+            )
+            broken = [
+                (a, b) for a, b in product(range(t.n), repeat=2)
+                if commuting[a][b] == commuting[b][a]
+                and differing[a][b] != differing[b][a]
+            ]
+            assert broken[0] == pair, name
+            upper = is_upper_symmetric(t)
+            lower = is_lower_symmetric(t)
+            assert (upper, lower) == (
+                ((False, pair), (True, None)) if failing == "upper"
+                else ((True, None), (False, pair))
+            ), name
+            assert is_symmetric(t) == (False, pair), name
+            # upper- and lower-cancellative require their symmetry half
+            # first and report its witness when it fails
+            assert is_simply_cancellative(t) == (True, None), name
+            assert is_upper_cancellative(t) == upper, name
+            assert is_lower_cancellative(t) == lower, name
