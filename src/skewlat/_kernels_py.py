@@ -15,6 +15,8 @@ the best key so far.
 
 from itertools import permutations
 
+from .core import _regular
+
 
 def assoc_witness(flat, n):
     """First (x, y, z) violating associativity, or None, by a scalar scan
@@ -123,17 +125,6 @@ def _d_contiguous(t, n):
     return True
 
 
-def _is_regular(t, n):
-    for x in range(n):
-        for y in range(n):
-            xy = t[x * n + y]
-            xyx = t[xy * n + x]
-            for z in range(n):
-                if t[t[xyx * n + z] * n + x] != t[t[xy * n + z] * n + x]:
-                    return False
-    return True
-
-
 def _cells(n):
     """The fill order of `meet_tables`: the off-diagonal cells in pairs,
     (0, 1), (1, 0), (0, 2), (2, 0), ..., (0, n-1), (n-1, 0), (1, 2), ...,
@@ -173,24 +164,25 @@ def meet_tables(n, prefix=None):
     for i in range(n):
         t[i * n + i] = i
     out = []
-
-    def fill(k):
-        if k == len(steps):
-            if _d_contiguous(t, n) and _is_regular(t, n):
-                out.append(tuple(t))
-            return
-        pos, vals = steps[k]
-        for v in vals:
-            t[pos] = v
-            if _assoc_ok_at(t, n, pos) and _d_ordered_at(t, n, pos):
-                fill(k + 1)
-        t[pos] = -1
-
-    fill(0)
-    # fill refers to itself through its closure; break that cycle, or it
-    # keeps `out` alive until the next full garbage collection
-    del fill
+    _fill_meet(t, n, steps, 0, out)
     return out
+
+
+def _fill_meet(t, n, steps, k, out):
+    """Fill `meet_tables`' cells steps[k:] in every way that passes the
+    checks, appending each band that completes to `out`."""
+    if k == len(steps):
+        band = tuple(t)
+        rows = [band[r : r + n] for r in range(0, n * n, n)]
+        if _d_contiguous(t, n) and _regular(rows, n):
+            out.append(band)
+        return
+    pos, vals = steps[k]
+    for v in vals:
+        t[pos] = v
+        if _assoc_ok_at(t, n, pos) and _d_ordered_at(t, n, pos):
+            _fill_meet(t, n, steps, k + 1, out)
+    t[pos] = -1
 
 
 def join_completions(meet, n):
@@ -233,22 +225,24 @@ def join_completions(meet, n):
             jt[pos] = val
             if not _assoc_ok_at(jt, n, pos):
                 return []
-    free = sorted(cand)
     out = []
-
-    def fill(k):
-        if k == len(free):
-            out.append(tuple(jt))
-            return
-        pos = free[k]
-        for v in cand[pos]:
-            jt[pos] = v
-            if _assoc_ok_at(jt, n, pos):
-                fill(k + 1)
-        jt[pos] = -1
-
-    fill(0)
+    _fill_join(jt, n, sorted(cand.items()), 0, out)
     return out
+
+
+def _fill_join(jt, n, steps, k, out):
+    """Fill `join_completions`' free cells steps[k:], each from its
+    candidates, in every associative way, appending each complete table to
+    `out`."""
+    if k == len(steps):
+        out.append(tuple(jt))
+        return
+    pos, vals = steps[k]
+    for v in vals:
+        jt[pos] = v
+        if _assoc_ok_at(jt, n, pos):
+            _fill_join(jt, n, steps, k + 1, out)
+    jt[pos] = -1
 
 
 def relabel(flat, n, perm):

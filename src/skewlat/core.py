@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import product
 from operator import itemgetter
 
 from .errors import (
@@ -175,35 +176,23 @@ def validate(meet, join) -> ValidationReport:
     """
     s = SkewLattice(meet, join)
     n, mt, jt = s.n, s.meet, s.join
-    failures = []
-
-    for name, t in (("meet-idempotency", mt), ("join-idempotency", jt)):
-        for x in range(n):
-            if t[x][x] != x:
-                failures.append((name, (x,)))
-                break
-
-    for name, t in (("meet-associativity", mt), ("join-associativity", jt)):
-        w = _assoc_witness(t, n)
-        if w is not None:
-            failures.append((name, w))
-
-    absorptions = (
-        ("absorption-meet-left", lambda x, y: mt[x][jt[x][y]] == x),
-        ("absorption-meet-right", lambda x, y: mt[jt[y][x]][x] == x),
-        ("absorption-join-left", lambda x, y: jt[x][mt[x][y]] == x),
-        ("absorption-join-right", lambda x, y: jt[mt[y][x]][x] == x),
+    rng = range(n)
+    pairs = list(product(rng, rng))
+    witnesses = (
+        ("meet-idempotency", next(((x,) for x in rng if mt[x][x] != x), None)),
+        ("join-idempotency", next(((x,) for x in rng if jt[x][x] != x), None)),
+        ("meet-associativity", _assoc_witness(mt, n)),
+        ("join-associativity", _assoc_witness(jt, n)),
+        ("absorption-meet-left",
+         next(((x, y) for x, y in pairs if mt[x][jt[x][y]] != x), None)),
+        ("absorption-meet-right",
+         next(((x, y) for x, y in pairs if mt[jt[y][x]][x] != x), None)),
+        ("absorption-join-left",
+         next(((x, y) for x, y in pairs if jt[x][mt[x][y]] != x), None)),
+        ("absorption-join-right",
+         next(((x, y) for x, y in pairs if jt[mt[y][x]][x] != x), None)),
     )
-    for name, law in absorptions:
-        done = False
-        for x in range(n):
-            for y in range(n):
-                if not law(x, y):
-                    failures.append((name, (x, y)))
-                    done = True
-                    break
-            if done:
-                break
+    failures = [(name, w) for name, w in witnesses if w is not None]
 
     report = ValidationReport(valid=not failures, failures=failures)
     report.meet_regular = _regular(mt, n)

@@ -88,6 +88,37 @@ def projections(s: SkewLattice):
     return dec.left_factor.class_of, dec.right_factor.class_of
 
 
+def _closed_so_far(chosen, elem_rank, mt, jt):
+    """No meet or join of two chosen elements lies in a decided D-class
+    (one of the first len(chosen) in the search order) without being
+    chosen."""
+    cs = set(chosen)
+    decided = len(chosen)
+    for a in chosen:
+        for b in chosen:
+            for p in (mt[a][b], jt[a][b]):
+                if elem_rank[p] < decided and p not in cs:
+                    return False
+    return True
+
+
+def _search(chosen, classes, elem_rank, mt, jt):
+    """Extend `chosen`, which holds one element of each of the first
+    len(chosen) classes, by one element of each later class so that it
+    stays closed so far.  True when it gets through every class, with
+    `chosen` the section; False, with `chosen` as it was, otherwise."""
+    if len(chosen) == len(classes):
+        return True
+    for e in classes[len(chosen)]:
+        chosen.append(e)
+        if _closed_so_far(chosen, elem_rank, mt, jt) and _search(
+            chosen, classes, elem_rank, mt, jt
+        ):
+            return True
+        chosen.pop()
+    return False
+
+
 def find_lattice_section(s: SkewLattice) -> Sections:
     """Backtracking search for a transversal of the D-classes closed under
     both operations; absence is reported as None fields, not an error."""
@@ -103,28 +134,7 @@ def find_lattice_section(s: SkewLattice) -> Sections:
     rank_of_class = {c: i for i, c in enumerate(order)}
     elem_rank = [rank_of_class[d.block_of[x]] for x in range(s.n)]
     chosen = []
-
-    def closed_so_far():
-        cs = set(chosen)
-        decided = len(chosen)
-        for a in chosen:
-            for b in chosen:
-                for p in (mt[a][b], jt[a][b]):
-                    if elem_rank[p] < decided and p not in cs:
-                        return False
-        return True
-
-    def search(i):
-        if i == len(classes):
-            return True
-        for e in classes[i]:
-            chosen.append(e)
-            if closed_so_far() and search(i + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if not search(0):
+    if not _search(chosen, classes, elem_rank, mt, jt):
         return Sections(None, None, None, None, None)
 
     s0 = frozenset(chosen)

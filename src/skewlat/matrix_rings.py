@@ -14,14 +14,13 @@ from itertools import chain
 from operator import mul
 
 from . import cosets
-from .core import SkewLattice, _cached, to_json_dict, validate
+from .core import SkewLattice, _cached, to_json_dict
 from .errors import (
     ClosureExceedsCap,
     DimensionMismatch,
     FieldMismatch,
     InternalInconsistency,
     NotAPrimeField,
-    NotASkewLattice,
     NotIdempotent,
     NotInStandardForm,
 )
@@ -261,12 +260,9 @@ def closure(
     size = len(elems)
     meet = [[meet[i, j] for j in range(size)] for i in range(size)]
     join = [[join[i, j] for j in range(size)] for i in range(size)]
-    report = validate(meet, join)
-    if not report.valid:
-        raise NotASkewLattice(report)
     return MatrixSkewLattice(
         elements=tuple(_matrix(p, n, f) for f in elems),
-        abstract=SkewLattice(meet, join),
+        abstract=SkewLattice.checked(meet, join),
         origin=origin,
     )
 

@@ -4,20 +4,21 @@ Every predicate returns ``(holds, witness)`` where the witness is the
 lexicographically least violating assignment (None when the predicate
 holds, or when it is not identity-shaped).
 
-An identity is checked in stages.  Its two sides are compiled once, per
-``Identity`` object, into a plan that lists each distinct subterm under the
-highest variable it reads.  The check then fixes x0, x1, ... in turn and
-forms each subterm once per prefix of the variables it reads: ``x^y`` in
-``((x^y)^z)^w`` is formed once per (x, y).  Subterms that read the last
-variable are formed a row at a time over all its values, and the first
-index where the two sides' rows differ completes the witness.
-:func:`eval_term` evaluates a term at a single assignment; it is the
-reference the staged check is tested against.
+An identity is checked by one loop over ``itertools.product(range(n),
+repeat=top)``, where x_top is the highest variable either side reads.  Its
+two sides are compiled once, per ``Identity`` object, into a plan that
+lists each distinct subterm once, operands first.  For each prefix
+x_0..x_{top-1}, the subterms that do not read x_top are formed one table
+lookup each; the subterms that read it are formed a row at a time over all
+its values, and the first index where the two sides' rows differ completes
+the witness.  :func:`eval_term` evaluates a term at a single assignment; it
+is the reference the check is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import eq, getitem
 
 from .core import SkewLattice, _cached
@@ -93,7 +94,7 @@ class Identity:
 def eval_term(s: SkewLattice, t: Term, assignment) -> int:
     """The value of ``t`` at one assignment, by recursion over the tree.
 
-    This is the single-assignment reference: the staged scan in
+    This is the single-assignment reference: the product loop in
     :func:`check_identity` is tested against it.
     """
     if t.op is None:
@@ -108,42 +109,48 @@ def eval_term(s: SkewLattice, t: Term, assignment) -> int:
     return table[a][b]
 
 
+def _slot(t, slots, reads, subterms):
+    """The slot of term t.  t and each of its subterms not yet in `slots`
+    take the next free slot after their operands; `reads[slot]` is the
+    highest variable the slot reads, and `subterms` gets
+    ``(slot, op, a, b)`` for each new compound one, operands first."""
+    if t not in slots:
+        a = _slot(t.left, slots, reads, subterms)
+        b = _slot(t.right, slots, reads, subterms)
+        slot = slots[t] = len(reads)
+        reads.append(max(reads[a], reads[b]))
+        subterms.append((slot, int(t.op == JOIN), a, b))
+    return slots[t]
+
+
 @_cached
 def _staged_plan(ident: Identity):
-    """The distinct subterms of both sides, staged by the highest variable
-    each one reads.
+    """The distinct subterms of both sides, split by whether they read the
+    highest variable.
 
     Slot k holds x_k and every compound subterm takes the next free slot
     after its operands.  Returns ``(top, outer, inner, lhs, rhs)``: ``top``
-    is the highest variable either side reads; ``outer[k]`` lists
-    ``(slot, op, a, b)`` for the subterms known once x_0..x_k are fixed,
-    k < top; ``inner`` lists ``(slot, op, a, a_is_row, b, b_is_row)`` for
-    those that read x_top, each held as its row of values over every
-    x_top; ``lhs`` and ``rhs`` are ``(slot, is_row)`` for the two sides.
-    ``op`` is 0 for meet and 1 for join.
+    is the highest variable either side reads; ``outer`` lists
+    ``(slot, op, a, b)`` for the subterms that do not read x_top, in
+    dependency order; ``inner`` lists ``(slot, op, a, a_is_row, b,
+    b_is_row)`` for those that do, each held as its row of values over
+    every x_top; ``lhs`` and ``rhs`` are ``(slot, is_row)`` for the two
+    sides.  ``op`` is 0 for meet and 1 for join.
     """
     top = max(ident.lhs.max_var(), ident.rhs.max_var())
     slots = {V(k): k for k in range(top + 1)}
     reads = list(range(top + 1))  # slot -> highest variable it reads
-    stages = [[] for _ in range(top + 1)]
-
-    def visit(t):
-        if t not in slots:
-            a, b = visit(t.left), visit(t.right)
-            slot = slots[t] = len(reads)
-            reads.append(max(reads[a], reads[b]))
-            stages[reads[slot]].append((slot, int(t.op == JOIN), a, b))
-        return slots[t]
-
-    lhs, rhs = visit(ident.lhs), visit(ident.rhs)
-    inner = tuple(
-        (slot, op, a, reads[a] == top, b, reads[b] == top)
-        for slot, op, a, b in stages[top]
-    )
+    subterms = []
+    lhs = _slot(ident.lhs, slots, reads, subterms)
+    rhs = _slot(ident.rhs, slots, reads, subterms)
     return (
         top,
-        tuple(tuple(stage) for stage in stages[:top]),
-        inner,
+        tuple(sub for sub in subterms if reads[sub[0]] < top),
+        tuple(
+            (slot, op, a, reads[a] == top, b, reads[b] == top)
+            for slot, op, a, b in subterms
+            if reads[slot] == top
+        ),
         (lhs, reads[lhs] == top),
         (rhs, reads[rhs] == top),
     )
@@ -160,9 +167,9 @@ def check_identity(s: SkewLattice, ident: Identity):
     """Exhaustive check; returns (holds, first counterexample or None).
 
     Assignments are visited in ``itertools.product`` order, so the witness
-    is the lexicographically least counterexample.  Each subterm is formed
-    once per prefix of the variables it reads, and the subterms that read
-    the last variable once per row of values over it.
+    is the lexicographically least counterexample.  For each prefix
+    x_0..x_{top-1}, the subterms that do not read x_top are formed one
+    value each, and those that do a row at a time over all its values.
     """
     if ident.arity > ARITY_CAP:
         raise ArityTooLarge(f"arity {ident.arity} exceeds cap {ARITY_CAP}")
@@ -172,12 +179,13 @@ def check_identity(s: SkewLattice, ident: Identity):
     n = s.n
     tables = (s.meet, s.join)
     columns = _columns(s)
-    env = [0] * (top + 1 + sum(map(len, outer)) + len(inner))
+    env = [0] * (top + 1 + len(outer) + len(inner))
+    # a table row or column taken at x_top is the subterm's row as it stands
     env[top] = tuple(range(n))
-
-    def first_difference():
-        # env[top] is range(n), so a table row or column taken at x_top
-        # is the subterm's row as it stands
+    for prefix in product(range(n), repeat=top):
+        env[:top] = prefix
+        for slot, op, a, b in outer:
+            env[slot] = tables[op][env[a]][env[b]]
         for slot, op, a, a_is_row, b, b_is_row in inner:
             if not b_is_row:
                 row = columns[op][env[b]]
@@ -192,27 +200,11 @@ def check_identity(s: SkewLattice, ident: Identity):
         left = env[lhs] if lhs_is_row else (env[lhs],) * n
         right = env[rhs] if rhs_is_row else (env[rhs],) * n
         if left != right:
-            return next(i for i in range(n) if left[i] != right[i])
-        return None
-
-    def scan(k):
-        if k == top:
-            return first_difference()
-        for v in range(n):
-            env[k] = v
-            for slot, op, a, b in outer[k]:
-                env[slot] = tables[op][env[a]][env[b]]
-            found = scan(k + 1)
-            if found is not None:
-                return found
-        return None
-
-    found = scan(0)
-    if found is None:
-        return True, None
-    # neither side reads a variable past x_top: the least counterexample
-    # sets each one to 0
-    return False, (*env[:top], found) + (0,) * (ident.arity - top - 1)
+            # neither side reads a variable past x_top: the least
+            # counterexample sets each one to 0
+            found = next(i for i in range(n) if left[i] != right[i])
+            return False, (*prefix, found) + (0,) * (ident.arity - top - 1)
+    return True, None
 
 
 # --- identity definitions -------------------------------------------------

@@ -60,6 +60,11 @@ def test_isomorphic_finds_the_witness():
             assert perm[a.m(x, y)] == b.m(perm[x], perm[y])
 
 
+def test_isomorphic_across_orders_is_none():
+    assert isomorphic(chain(2), chain(3)) is None
+    assert isomorphic(rectangular(2, 2), rectangular(3, 1)) is None
+
+
 def test_canonical_is_isomorphism_invariant(catalogs):
     for s in catalogs[3].algebras:
         assert canonical(mirror(mirror(s))) == canonical(s)

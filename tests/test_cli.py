@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import skewlat
 from skewlat import __version__, cli, matrix_rings
 from skewlat.catalog import canonical, nc5
 from skewlat.cli import main
@@ -38,6 +42,21 @@ def test_validate_ok(capsys, nc5_file):
     code, out, err = run(capsys, "validate", nc5_file)
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_module_entry_point_matches_main(capsys, nc5_file):
+    # `python -m skewlat.cli` runs main through the module's __main__ guard
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewlat.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "skewlat.cli", "validate", nc5_file],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, out, _ = run(capsys, "validate", nc5_file)
+    assert done.returncode == code == 0
+    assert done.stdout == out
 
 
 def test_validate_failure_exit_1(capsys, broken_file):

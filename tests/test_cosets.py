@@ -4,6 +4,7 @@ import pytest
 
 from skewlat.cosets import (
     DClassPair,
+    _is_partition,
     comparable_pairs,
     coset_bijection,
     coset_intersection,
@@ -39,6 +40,13 @@ def test_flat_cosets_verify_on_every_comparable_pair(catalogs, samples):
             flat_cosets(s, pair)
             total += 1
     assert total > 0
+
+
+def test_is_partition_rejects_overlaps_and_gaps():
+    universe = frozenset(range(4))
+    assert _is_partition([frozenset({0, 1}), frozenset({2, 3})], universe)
+    assert not _is_partition([frozenset({0, 1}), frozenset({1, 2, 3})], universe)
+    assert not _is_partition([frozenset({0, 1}), frozenset({2})], universe)
 
 
 def test_coset_blocks_within_a_side_are_equipotent(samples):

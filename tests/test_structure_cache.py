@@ -12,9 +12,10 @@ from collections import Counter
 
 import pytest
 
-from skewlat import decompose, greens, laws
+from skewlat import cosets, decompose, greens, laws
 from skewlat.catalog import enumerate_catalog, nc5
-from skewlat.core import SkewLattice, direct_product, rectangular
+from skewlat.core import SkewLattice, chain, direct_product, rectangular
+from skewlat.matrix_rings import primitive_right_handed
 from skewlat.varieties import classify
 
 FACTS = {
@@ -101,6 +102,32 @@ def test_analysed_algebra_freed_without_the_cycle_collector():
         ref = weakref.ref(s)
         del s
         assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_library_leaves_no_cyclic_garbage():
+    # No function builds a closure that refers to itself, so reference
+    # counting frees everything the library allocates: with the cycle
+    # collector off, a search, a full analysis and a matrix closure, with
+    # no warm-up call, leave nothing for it to find.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        enumerate_catalog(4)
+        s = direct_product(nc5("right"), chain(2))
+        classify(s)
+        for check in laws.ALL_LAW_CHECKS.values():
+            check(s)
+        decompose.kimura(s)
+        decompose.find_lattice_section(s)
+        for pair in cosets.comparable_pairs(s):
+            cosets.flat_cosets(s, pair)
+        greens.to_dot(s)
+        primitive_right_handed(3, (1, 1, 1), [], [])
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
