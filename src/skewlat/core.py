@@ -116,9 +116,14 @@ def _cached(fn):
 class ValidationReport:
     valid: bool
     failures: list = field(default_factory=list)
-    # Informational: regularity must hold whenever all axioms do.
-    meet_regular: bool = True
-    join_regular: bool = True
+    # the checked tables, as tuples of row tuples
+    meet: tuple = field(default=(), repr=False)
+    join: tuple = field(default=(), repr=False)
+
+    # Informational, and scanned only when read: regularity must hold
+    # whenever all axioms do.
+    meet_regular = property(lambda self: _regular(self.meet, len(self.meet)))
+    join_regular = property(lambda self: _regular(self.join, len(self.join)))
 
     def to_dict(self):
         return {
@@ -193,11 +198,7 @@ def validate(meet, join) -> ValidationReport:
          next(((x, y) for x, y in pairs if jt[mt[y][x]][x] != x), None)),
     )
     failures = [(name, w) for name, w in witnesses if w is not None]
-
-    report = ValidationReport(valid=not failures, failures=failures)
-    report.meet_regular = _regular(mt, n)
-    report.join_regular = _regular(jt, n)
-    return report
+    return ValidationReport(not failures, failures, mt, jt)
 
 
 def require_valid(s: SkewLattice, label: str) -> SkewLattice:

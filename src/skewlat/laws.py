@@ -36,8 +36,8 @@ from .varieties import (
 
 
 def _oriented_diamonds(s):
-    """Each skew diamond in both (A, B) orientations, since several laws
-    quantify over elements of one designated incomparable class."""
+    """Each skew diamond in both (A, B) orientations, for the cancellation
+    laws alone: they range over one designated incomparable class."""
     out = []
     for Jc, A, B, Mc in skew_diamonds(s):
         out.append((Jc, A, B, Mc))
@@ -59,77 +59,85 @@ def _aggregate(name, predicate_value, instances):
     return Record(instance=inst, lhs=predicate_value, rhs=holds)
 
 
-def _coset_equivalences(s, diamonds, flavor):
+def _diamond_maps(s, flavors):
+    """Per skew diamond (Jc, A, B, Mc): {flavor: its maps of the far class
+    C, of A and of B through the class X on its side, keyed by X in
+    ascending order}.  The laws that read these are symmetric in A and B:
+    they read each diamond once, and name diamond k by its index 2k among
+    the oriented diamonds."""
+    table = []
+    for Jc, A, B, Mc in skew_diamonds(s):
+        row = {}
+        for flavor in flavors:
+            C, X = sides(flavor, Jc, Mc)
+            X = sorted(X)
+            row[flavor] = [coset_map(s, flavor, K, X) for K in (C, A, B)]
+        table.append(row)
+    return table
+
+
+def _coset_equivalences(maps, flavor):
     """Per pair (x, x') of X: equal cosets of the far class C through x
     and x' iff equal cosets of both incomparable classes A and B."""
-    for di, (Jc, A, B, Mc) in enumerate(diamonds):
-        C, X = sides(flavor, Jc, Mc)
-        far, ma, mb = (coset_map(s, flavor, K, X) for K in (C, A, B))
-        for x, xp in product(sorted(X), repeat=2):
+    for k, row in enumerate(maps):
+        far, ma, mb = row[flavor]
+        for x, xp in product(far, repeat=2):
             lhs = far[x] == far[xp]
             rhs = ma[x] == ma[xp] and mb[x] == mb[xp]
-            yield (di, x, xp), lhs == rhs
+            yield (2 * k, x, xp), lhs == rhs
 
 
-def _inclusions(s, diamonds, flavor):
+def _inclusions(maps, flavor):
     """Per x in X: the cosets of A and B through x meet inside the coset
     of the far class C through x."""
-    for di, (Jc, A, B, Mc) in enumerate(diamonds):
-        C, X = sides(flavor, Jc, Mc)
-        far, ma, mb = (coset_map(s, flavor, K, X) for K in (C, A, B))
-        for x in sorted(X):
-            yield (di, x), (ma[x] & mb[x]) <= far[x]
+    for k, row in enumerate(maps):
+        far, ma, mb = row[flavor]
+        for x in far:
+            yield (2 * k, x), (ma[x] & mb[x]) <= far[x]
 
 
-def _intersections(s, diamonds, labelled):
+def _intersections(maps, labelled):
     """Per x in X: the coset of the far class C through x is the
     intersection of those of A and B.  `labelled` holds (instance label,
     flavor) pairs; on each diamond the meet flavors run over every element
     of Mc before the join flavors run over Jc."""
-    for di, (Jc, A, B, Mc) in enumerate(diamonds):
+    for k, row in enumerate(maps):
         for kind in ("meet", "join"):
-            C, X = sides(kind, Jc, Mc)
-            maps = [
-                (label, *(coset_map(s, flavor, K, X) for K in (C, A, B)))
-                for label, flavor in labelled
-                if flavor.endswith(kind)
-            ]
-            for x in sorted(X):
-                for label, far, ma, mb in maps:
-                    yield (di, label, x), far[x] == (ma[x] & mb[x])
+            kinded = [(lb, *row[f]) for lb, f in labelled if f.endswith(kind)]
+            for x in kinded[0][1]:  # every map of one kind is keyed by X
+                for label, far, ma, mb in kinded:
+                    yield (2 * k, label, x), far[x] == (ma[x] & mb[x])
 
 
 def check_symmetry_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
     """Symmetry against the full-coset intersection and coset-equality
     families over all skew diamonds."""
-    diamonds = _oriented_diamonds(s)
+    maps = _diamond_maps(s, ("full-meet", "full-join"))
     sym = is_symmetric(s)[0]
     lower = is_lower_symmetric(s)[0]
     upper = is_upper_symmetric(s)[0]
-    intersections = _intersections(
-        s, diamonds, (("meet", "full-meet"), ("join", "full-join"))
-    )
+    intersections = _intersections(maps, (("meet", "full-meet"), ("join", "full-join")))
     records = [
         _aggregate("symmetric-iff-intersections", sym, intersections),
         _aggregate(
             "lower-symmetric-iff-meet-inclusion",
             lower,
-            _inclusions(s, diamonds, "full-meet"),
+            _inclusions(maps, "full-meet"),
         ),
         _aggregate(
             "upper-symmetric-iff-join-inclusion",
             upper,
-            _inclusions(s, diamonds, "full-join"),
+            _inclusions(maps, "full-join"),
         ),
         _aggregate(
             "lower-symmetric-iff-meet-equivalences",
             lower,
-            _coset_equivalences(s, diamonds, "full-meet"),
+            _coset_equivalences(maps, "full-meet"),
         ),
         _aggregate(
             "upper-symmetric-iff-join-equivalences",
             upper,
-            _coset_equivalences(s, diamonds, "full-join"),
+            _coset_equivalences(maps, "full-join"),
         ),
         Record(
             instance=("symmetric-iff-both-families",),
@@ -146,12 +154,12 @@ def check_flat_symmetry_laws(
     """The four flat-coset equivalence families against the four flavored
     symmetry identities, plus the intersection formulas on symmetric
     algebras."""
-    diamonds = _oriented_diamonds(s)
+    maps = _diamond_maps(s, ("right-meet", "right-join", "left-meet", "left-join"))
     records = [
         _aggregate(
             name,
             check_identity(s, identity)[0],
-            _coset_equivalences(s, diamonds, flavor),
+            _coset_equivalences(maps, flavor),
         )
         for name, identity, flavor in (
             ("right-lower-symmetric-iff-clause-a", RIGHT_LOWER_SYMMETRIC, "right-meet"),
@@ -163,8 +171,7 @@ def check_flat_symmetry_laws(
     notes = []
     if is_symmetric(s)[0]:
         intersections = _intersections(
-            s,
-            diamonds,
+            maps,
             (
                 ("m-right", "right-meet"),
                 ("m-left", "left-meet"),

@@ -43,24 +43,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise NotAPrimeField(f"{self.p} is not prime")
-        if self.p == 2:
-            raise NotAPrimeField("modulus 2 not supported (characteristic 2)")
-        if self.p > DEFAULT_MODULUS_CAP:
-            raise NotAPrimeField(f"modulus {self.p} exceeds cap {DEFAULT_MODULUS_CAP}")
-
-
 @lru_cache(maxsize=None)
-def _field(p: int) -> PrimeField:
-    """PrimeField(p), validated once per modulus; a rejected modulus is
-    not cached, so it raises NotAPrimeField every time."""
-    return PrimeField(p)
+def _field(p: int) -> None:
+    """Check that p is an odd prime up to the cap, once per modulus; a
+    rejected modulus is not cached, so it raises NotAPrimeField every time."""
+    if not _is_prime(p):
+        raise NotAPrimeField(f"{p} is not prime")
+    if p == 2:
+        raise NotAPrimeField("modulus 2 not supported (characteristic 2)")
+    if p > DEFAULT_MODULUS_CAP:
+        raise NotAPrimeField(f"modulus {p} exceeds cap {DEFAULT_MODULUS_CAP}")
 
 
 @dataclass(frozen=True)

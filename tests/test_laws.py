@@ -100,11 +100,6 @@ def test_symmetry_law_families_present(nc5_right):
     assert "symmetric-iff-intersections" in names
 
 
-def test_flat_symmetry_notes_when_not_symmetric():
-    rep = check_flat_symmetry_laws(rectangular(2, 2), "rect22")
-    assert rep.verdict == "concordant"
-
-
 def test_flat_symmetry_notes_a_non_symmetric_algebra(non_symmetric7):
     for name, s in non_symmetric7.items():
         rep = check_flat_symmetry_laws(s, name)
@@ -176,19 +171,78 @@ LAW_REPORTS_SHA256 = (
 )
 
 
-def test_law_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
+def _reports_sha256(named, laws):
+    """sha256 of every report of `laws` on each (name, algebra) of `named`,
+    with every record's instance tuple."""
     import hashlib
     import json
 
     docs = []
-    for name, s in _law_corpus(catalogs, nc5_right, nc5_left):
-        for law in sorted(ALL_LAW_CHECKS):
+    for name, s in named:
+        for law in laws:
             rep = ALL_LAW_CHECKS[law](s, name)
             doc = rep.to_json_dict()
             doc["records"] = [[list(r.instance), r.lhs, r.rhs] for r in rep.records]
             docs.append(doc)
     text = json.dumps(docs, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == LAW_REPORTS_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_law_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
+    named = _law_corpus(catalogs, nc5_right, nc5_left)
+    assert _reports_sha256(named, sorted(ALL_LAW_CHECKS)) == LAW_REPORTS_SHA256
+
+
+# sha256 of the symmetry and flat-symmetry reports on the four
+# non-symmetric order-7 fixtures, each as itself, mirrored, dualised, both,
+# and times chain(2): 40 reports, all concordant.  The golden corpus above
+# is all symmetric, so its records of these two families carry no diamond
+# index; here 80 records name diamonds 0 and 6.
+NON_SYMMETRIC_SYMMETRY_SHA256 = (
+    "a6fc4dc155c83e0456c36ce1abceaad636972f81be445296d66a41ac6cf19f96"
+)
+
+
+def test_non_symmetric_symmetry_reports_match_golden_digest(non_symmetric7):
+    from skewlat.core import direct_product, dual, mirror
+
+    named = [
+        (name + tag, a)
+        for name, s in non_symmetric7.items()
+        for tag, a in (
+            ("", s),
+            ("m", mirror(s)),
+            ("d", dual(s)),
+            ("md", mirror(dual(s))),
+            ("x2", direct_product(s, chain(2))),
+        )
+    ]
+    assert _reports_sha256(named, ("symmetry", "flat-symmetry")) == (
+        NON_SYMMETRIC_SYMMETRY_SHA256
+    )
+
+
+def test_symmetric_families_form_each_map_once(monkeypatch, nc5_right):
+    # symmetry takes the full-meet and full-join maps of C, A and B on each
+    # skew diamond, and flat-symmetry the four flat ones: 6 and 12 maps
+    from skewlat import laws
+    from skewlat.core import direct_product
+    from skewlat.decompose import skew_diamonds
+
+    s = direct_product(nc5_right, chain(2))
+    k = len(skew_diamonds(s))
+    assert k == 9
+    calls, real = [], laws.coset_map
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laws, "coset_map", counting)
+    for law, per_diamond in (("symmetry", 6), ("flat-symmetry", 12)):
+        calls.clear()
+        assert ALL_LAW_CHECKS[law](s, "nc5xc2").verdict == "concordant"
+        assert len(calls) == per_diamond * k, law
 
 
 def test_order6_witness_families_by_hand():

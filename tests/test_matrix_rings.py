@@ -18,7 +18,6 @@ from skewlat.errors import (
     NotInStandardForm,
 )
 from skewlat.matrix_rings import (
-    PrimeField,
     PrimeFieldMatrix,
     circle,
     closure,
@@ -72,10 +71,10 @@ def _counting_mul(monkeypatch):
 
 def test_prime_field_rejects_composites():
     with pytest.raises(NotAPrimeField):
-        PrimeField(6)
+        matrix_rings._field(6)
     with pytest.raises(NotAPrimeField):
-        PrimeField(1)
-    assert PrimeField(7).p == 7
+        matrix_rings._field(1)
+    assert matrix_rings._field(7) is None
 
 
 def test_matrix_entries_normalized():
