@@ -7,13 +7,15 @@ comprehensions; nothing is derived through quotient shortcuts.
 One rule says which cosets a flavor takes (`sides`): meet cosets are
 taken of the upper class through the elements of the lower class, and
 join cosets of the lower class through the elements of the upper class.
-`coset_map` forms each coset of a flavor once, and `CosetSystem.blocks`
+`coset_map` is the one coset store of an algebra: each map is formed once
+per instance, and every reader looks it up there.  `CosetSystem.blocks`
 maps each of the six flavors to the partition its cosets make.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import SkewLattice
 from .errors import ElementNotInClass, InternalInconsistency
@@ -76,13 +78,23 @@ def sides(flavor, upper, lower):
     return (upper, lower) if flavor.endswith("meet") else (lower, upper)
 
 
+_STORE = f"{__name__}.coset_map"
+
+
 def coset_map(s, flavor, C, X):
-    """{x: the flavor's coset of C through x} over x in X, each formed once.
-    The comprehension is looked up as a module attribute on every call, so
-    a wrapper put in its place sees each coset."""
-    side, kind = flavor.split("-")
-    fn = globals()[f"{side}_coset_{kind}"]
-    return {x: fn(s, C, x) for x in X}
+    """{x: the flavor's coset of C through x} over x in X ascending, as a
+    read-only map formed once per algebra instance: it is kept in the
+    instance's ``__dict__`` under (flavor, C, X), outside ``==`` and
+    ``hash``, as `core._cached` keeps Green's relations.  The comprehension
+    is looked up as a module attribute, so a wrapper put in its place sees
+    each coset formed."""
+    store = s.__dict__.setdefault(_STORE, {})
+    key = (flavor, frozenset(C), frozenset(X))
+    if key not in store:
+        side, kind = flavor.split("-")
+        fn = globals()[f"{side}_coset_{kind}"]
+        store[key] = MappingProxyType({x: fn(s, C, x) for x in sorted(X)})
+    return store[key]
 
 
 # --- comparable D-class pairs --------------------------------------------
@@ -121,6 +133,13 @@ def comparable_pairs(s: SkewLattice):
     return out
 
 
+def _kind_maps(s, pair, kind):
+    """The pair's full, right and left coset maps of a kind, "meet" or
+    "join"."""
+    C, X = sides(kind, pair.upper, pair.lower)
+    return [coset_map(s, f"{side}-{kind}", C, X) for side in ("full", "right", "left")]
+
+
 def _blocks(sets):
     return tuple(sorted(set(sets), key=min))
 
@@ -128,12 +147,12 @@ def _blocks(sets):
 def flat_cosets(s: SkewLattice, pair: DClassPair) -> CosetSystem:
     """All six coset partitions of the pair, with the partition,
     refinement and transversal properties verified."""
-    maps = {
-        f: coset_map(s, f, *sides(f, pair.upper, pair.lower))
-        for f in COSET_FLAVORS
-    }
-    sys = CosetSystem(pair, {f: _blocks(m.values()) for f, m in maps.items()})
-    _verify_system(s, sys, maps)
+    A, B = pair.upper, pair.lower
+    sys = CosetSystem(
+        pair,
+        {f: _blocks(coset_map(s, f, *sides(f, A, B)).values()) for f in COSET_FLAVORS},
+    )
+    _verify_system(s, sys)
     return sys
 
 
@@ -146,35 +165,33 @@ def _is_partition(blocks, universe):
     return seen == universe
 
 
-def _verify_system(s, sys, maps):
+def _verify_system(s, sys):
     A, B = sys.pair.upper, sys.pair.lower
-    for flavor, cosets in maps.items():
-        blocks = sys.blocks[flavor]
-        if not _is_partition(blocks, sides(flavor, A, B)[1]):
+    for flavor, blocks in sys.blocks.items():
+        C, X = sides(flavor, A, B)
+        if not _is_partition(blocks, X):
             raise InternalInconsistency("coset blocks do not partition")
         if len({len(b) for b in blocks}) != 1:
             raise InternalInconsistency("coset blocks not equipotent")
         # refinement: the coset through x lies in the full one through x
-        full = maps["full-" + flavor.split("-")[1]]
-        if not all(c <= full[x] for x, c in cosets.items()):
+        full = coset_map(s, "full-" + flavor.split("-")[1], C, X)
+        if not all(c <= full[x] for x, c in coset_map(s, flavor, C, X).items()):
             raise InternalInconsistency(f"{flavor} cosets do not refine full cosets")
     # x in b^A iff x^A = b^A
-    right = maps["right-meet"]
+    right = coset_map(s, "right-meet", A, B)
     for b in B:
         for x in B:
             if (x in right[b]) != (right[x] == right[b]):
                 raise InternalInconsistency("right coset membership law fails")
     # the right image set B^a is a transversal of the right cosets of A in B
-    for a in A:
-        img = left_coset_meet(s, B, a)  # B ^ a
+    for img in coset_map(s, "left-meet", B, A).values():  # B ^ a
         for blk in sys.blocks["right-meet"]:
             if len(img & blk) != 1:
                 raise InternalInconsistency("right image set not a transversal")
     # b v A = {a in A : a >=_L b}
     mt = s.meet
-    for b in B:
-        expected = frozenset(a for a in A if mt[b][a] == b)
-        if left_coset_join(s, A, b) != expected:
+    for b, coset in coset_map(s, "left-join", A, B).items():  # b v A
+        if coset != frozenset(a for a in A if mt[b][a] == b):
             raise InternalInconsistency("b v A mismatch with >=_L description")
 
 
@@ -185,11 +202,11 @@ def image_sets(s: SkewLattice, pair: DClassPair, x: int) -> frozenset:
     if x in A:
         img = frozenset(s.m(x, b, x) for b in B)
         by_order = frozenset(b for b in B if b in order[x] and b != x)
-        blocks = _blocks(full_coset_meet(s, A, b) for b in B)
+        blocks = _blocks(coset_map(s, "full-meet", A, B).values())
     elif x in B:
         img = frozenset(s.j(x, a, x) for a in A)
         by_order = frozenset(a for a in A if x in order[a] and a != x)
-        blocks = _blocks(full_coset_join(s, B, a) for a in A)
+        blocks = _blocks(coset_map(s, "full-join", B, A).values())
     else:
         raise ElementNotInClass(f"{x} not in either class")
     if img != by_order:
@@ -231,27 +248,24 @@ def coset_bijection(
         raise ElementNotInClass(f"{a} not in the upper class")
     if b not in B:
         raise ElementNotInClass(f"{b} not in the lower class")
+    if kind not in ("full", "right", "left"):
+        raise ValueError(f"unknown bijection kind {kind!r}")
     mt = s.meet
     order = natural_order(s)
+    # B v a v B, B v a or a v B onto A ^ b ^ A, b ^ A or A ^ b
+    dom = coset_map(s, f"{kind}-join", B, A)[a]
+    cod = coset_map(s, f"{kind}-meet", A, B)[b]
     if kind == "full":
-        dom = full_coset_join(s, B, a)       # B v a v B
-        cod = full_coset_meet(s, A, b)       # A ^ b ^ A
         fwd = {x: s.m(x, b, x) for x in dom}
         relation = lambda xx, yy: yy in order[xx]
     elif kind == "right":
-        dom = right_coset_join(s, B, a)      # B v a
-        cod = right_coset_meet(s, A, b)      # b ^ A
         fwd = {x: s.m(b, x) for x in dom}
         inv = {y: s.j(y, a) for y in cod}
         relation = lambda xx, yy: mt[yy][xx] == yy  # y <=_L x
-    elif kind == "left":
-        dom = left_coset_join(s, B, a)       # a v B
-        cod = left_coset_meet(s, A, b)       # A ^ b
+    else:
         fwd = {x: s.m(x, b) for x in dom}
         inv = {y: s.j(a, y) for y in cod}
         relation = lambda xx, yy: mt[xx][yy] == yy  # y <=_R x
-    else:
-        raise ValueError(f"unknown bijection kind {kind!r}")
 
     if set(fwd.values()) != cod or len(set(fwd.values())) != len(dom):
         raise InternalInconsistency(f"{kind} coset map is not bijective")
@@ -282,11 +296,12 @@ def coset_bijection(
 def coset_intersection(s: SkewLattice, pair: DClassPair, x: int, xp: int):
     """(x ^ A) intersect (A ^ x'): the singleton {x ^ x'} when the two lie
     in the same full coset, empty otherwise."""
-    A, B = pair.upper, pair.lower
+    B = pair.lower
     if x not in B or xp not in B:
         raise ElementNotInClass(f"{x}, {xp} must lie in the lower class")
-    literal = right_coset_meet(s, A, x) & left_coset_meet(s, A, xp)
-    same = full_coset_meet(s, A, x) == full_coset_meet(s, A, xp)
+    full, right, left = _kind_maps(s, pair, "meet")
+    literal = right[x] & left[xp]
+    same = full[x] == full[xp]
     expected = frozenset([s.m(x, xp)]) if same else frozenset()
     if literal != expected:
         raise InternalInconsistency("coset intersection law fails")
@@ -296,17 +311,18 @@ def coset_intersection(s: SkewLattice, pair: DClassPair, x: int, xp: int):
 def linking_elements(s: SkewLattice, pair: DClassPair, x: int, y: int):
     """(x^y, y^x) linking the right coset of x with the left coset of y
     (and dually), when both lie in the same full coset."""
-    A, B = pair.upper, pair.lower
+    B = pair.lower
     if x not in B or y not in B:
         raise ElementNotInClass(f"{x}, {y} must lie in the lower class")
-    if full_coset_meet(s, A, x) != full_coset_meet(s, A, y):
+    full, right, left = _kind_maps(s, pair, "meet")
+    if full[x] != full[y]:
         return None
     b, c = s.m(x, y), s.m(y, x)
     checks = (
-        left_coset_meet(s, A, b) == left_coset_meet(s, A, y),
-        right_coset_meet(s, A, x) == right_coset_meet(s, A, b),
-        right_coset_meet(s, A, c) == right_coset_meet(s, A, y),
-        left_coset_meet(s, A, x) == left_coset_meet(s, A, c),
+        left[b] == left[y],
+        right[x] == right[b],
+        right[c] == right[y],
+        left[x] == left[c],
     )
     if not all(checks):
         raise InternalInconsistency("linking element laws fail")
@@ -328,12 +344,9 @@ def delta_decomposition(
 ) -> DeltaDecomposition:
     """z -> (z ^ x, x ^ z), verified bijective onto the rectangular product
     of the left and right cosets through x."""
-    A, B = pair.upper, pair.lower
-    if x not in B:
+    if x not in pair.lower:
         raise ElementNotInClass(f"{x} not in the lower class")
-    dom = sorted(full_coset_meet(s, A, x))
-    left = sorted(left_coset_meet(s, A, x))
-    right = sorted(right_coset_meet(s, A, x))
+    dom, right, left = (sorted(m[x]) for m in _kind_maps(s, pair, "meet"))
     return _delta(s, dom, left, right, lambda z: (s.m(z, x), s.m(x, z)))
 
 
@@ -341,12 +354,9 @@ def delta_decomposition_up(
     s: SkewLattice, pair: DClassPair, y: int
 ) -> DeltaDecomposition:
     """Dual map u -> (y v u, u v y) on the coset B v y v B."""
-    A, B = pair.upper, pair.lower
-    if y not in A:
+    if y not in pair.upper:
         raise ElementNotInClass(f"{y} not in the upper class")
-    dom = sorted(full_coset_join(s, B, y))
-    left = sorted(left_coset_join(s, B, y))
-    right = sorted(right_coset_join(s, B, y))
+    dom, right, left = (sorted(m[y]) for m in _kind_maps(s, pair, "join"))
     return _delta(s, dom, left, right, lambda u: (s.j(y, u), s.j(u, y)))
 
 
@@ -385,7 +395,7 @@ def kimura_diagram_check(s: SkewLattice, pair: DClassPair, a: int, b: int):
     A, B = pair.upper, pair.lower
     if a not in A or b not in B:
         raise ElementNotInClass(f"({a}, {b}) not in (upper, lower)")
-    for x in sorted(full_coset_join(s, B, a)):
+    for x in sorted(coset_map(s, "full-join", B, A)[a]):
         via_flat = (s.m(s.j(a, x), b), s.m(b, s.j(x, a)))
         via_full = (s.m(x, b), s.m(b, x))
         if via_flat != via_full:

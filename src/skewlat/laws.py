@@ -59,85 +59,78 @@ def _aggregate(name, predicate_value, instances):
     return Record(instance=inst, lhs=predicate_value, rhs=holds)
 
 
-def _diamond_maps(s, flavors):
-    """Per skew diamond (Jc, A, B, Mc): {flavor: its maps of the far class
-    C, of A and of B through the class X on its side, keyed by X in
-    ascending order}.  The laws that read these are symmetric in A and B:
-    they read each diamond once, and name diamond k by its index 2k among
-    the oriented diamonds."""
-    table = []
-    for Jc, A, B, Mc in skew_diamonds(s):
-        row = {}
-        for flavor in flavors:
-            C, X = sides(flavor, Jc, Mc)
-            X = sorted(X)
-            row[flavor] = [coset_map(s, flavor, K, X) for K in (C, A, B)]
-        table.append(row)
-    return table
+def _diamond_maps(s, diamonds, flavor):
+    """Per skew diamond (Jc, A, B, Mc) in turn: its index 2k among the
+    oriented diamonds, and the flavor's maps of the far class C, of A and
+    of B through the class X on its side.  The laws that read these are
+    symmetric in A and B, so they read each diamond once."""
+    for k, (Jc, A, B, Mc) in enumerate(diamonds):
+        C, X = sides(flavor, Jc, Mc)
+        yield (2 * k, *(coset_map(s, flavor, K, X) for K in (C, A, B)))
 
 
-def _coset_equivalences(maps, flavor):
+def _coset_equivalences(s, diamonds, flavor):
     """Per pair (x, x') of X: equal cosets of the far class C through x
     and x' iff equal cosets of both incomparable classes A and B."""
-    for k, row in enumerate(maps):
-        far, ma, mb = row[flavor]
+    for k, far, ma, mb in _diamond_maps(s, diamonds, flavor):
         for x, xp in product(far, repeat=2):
             lhs = far[x] == far[xp]
             rhs = ma[x] == ma[xp] and mb[x] == mb[xp]
-            yield (2 * k, x, xp), lhs == rhs
+            yield (k, x, xp), lhs == rhs
 
 
-def _inclusions(maps, flavor):
+def _inclusions(s, diamonds, flavor):
     """Per x in X: the cosets of A and B through x meet inside the coset
     of the far class C through x."""
-    for k, row in enumerate(maps):
-        far, ma, mb = row[flavor]
+    for k, far, ma, mb in _diamond_maps(s, diamonds, flavor):
         for x in far:
-            yield (2 * k, x), (ma[x] & mb[x]) <= far[x]
+            yield (k, x), (ma[x] & mb[x]) <= far[x]
 
 
-def _intersections(maps, labelled):
+def _intersections(s, diamonds, labelled):
     """Per x in X: the coset of the far class C through x is the
     intersection of those of A and B.  `labelled` holds (instance label,
     flavor) pairs; on each diamond the meet flavors run over every element
     of Mc before the join flavors run over Jc."""
-    for k, row in enumerate(maps):
+    for row in zip(*(_diamond_maps(s, diamonds, f) for _, f in labelled)):
         for kind in ("meet", "join"):
-            kinded = [(lb, *row[f]) for lb, f in labelled if f.endswith(kind)]
-            for x in kinded[0][1]:  # every map of one kind is keyed by X
-                for label, far, ma, mb in kinded:
-                    yield (2 * k, label, x), far[x] == (ma[x] & mb[x])
+            kinded = [(lb, *m) for (lb, f), m in zip(labelled, row) if f.endswith(kind)]
+            for x in kinded[0][2]:  # every map of one kind is keyed by X
+                for label, k, far, ma, mb in kinded:
+                    yield (k, label, x), far[x] == (ma[x] & mb[x])
 
 
 def check_symmetry_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
     """Symmetry against the full-coset intersection and coset-equality
     families over all skew diamonds."""
-    maps = _diamond_maps(s, ("full-meet", "full-join"))
+    diamonds = skew_diamonds(s)
     sym = is_symmetric(s)[0]
     lower = is_lower_symmetric(s)[0]
     upper = is_upper_symmetric(s)[0]
-    intersections = _intersections(maps, (("meet", "full-meet"), ("join", "full-join")))
+    intersections = _intersections(
+        s, diamonds, (("meet", "full-meet"), ("join", "full-join"))
+    )
     records = [
         _aggregate("symmetric-iff-intersections", sym, intersections),
         _aggregate(
             "lower-symmetric-iff-meet-inclusion",
             lower,
-            _inclusions(maps, "full-meet"),
+            _inclusions(s, diamonds, "full-meet"),
         ),
         _aggregate(
             "upper-symmetric-iff-join-inclusion",
             upper,
-            _inclusions(maps, "full-join"),
+            _inclusions(s, diamonds, "full-join"),
         ),
         _aggregate(
             "lower-symmetric-iff-meet-equivalences",
             lower,
-            _coset_equivalences(maps, "full-meet"),
+            _coset_equivalences(s, diamonds, "full-meet"),
         ),
         _aggregate(
             "upper-symmetric-iff-join-equivalences",
             upper,
-            _coset_equivalences(maps, "full-join"),
+            _coset_equivalences(s, diamonds, "full-join"),
         ),
         Record(
             instance=("symmetric-iff-both-families",),
@@ -154,12 +147,12 @@ def check_flat_symmetry_laws(
     """The four flat-coset equivalence families against the four flavored
     symmetry identities, plus the intersection formulas on symmetric
     algebras."""
-    maps = _diamond_maps(s, ("right-meet", "right-join", "left-meet", "left-join"))
+    diamonds = skew_diamonds(s)
     records = [
         _aggregate(
             name,
             check_identity(s, identity)[0],
-            _coset_equivalences(maps, flavor),
+            _coset_equivalences(s, diamonds, flavor),
         )
         for name, identity, flavor in (
             ("right-lower-symmetric-iff-clause-a", RIGHT_LOWER_SYMMETRIC, "right-meet"),
@@ -171,7 +164,8 @@ def check_flat_symmetry_laws(
     notes = []
     if is_symmetric(s)[0]:
         intersections = _intersections(
-            maps,
+            s,
+            diamonds,
             (
                 ("m-right", "right-meet"),
                 ("m-left", "left-meet"),
@@ -296,20 +290,13 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     return ConcordanceReport("normality-coset-laws", algebra, tuple(records), tuple(notes))
 
 
-def _far_near(s, diamond, flavor):
-    """The flavor's cosets of the far class C and of the near class B
-    through each element of the designated class A of an oriented
-    diamond (Jc, A, B, Mc)."""
+def _diamond_family(s, flavor, diamond):
+    """Whether, on one oriented diamond (Jc, A, B, Mc), the flavor's coset
+    equality against the far class C is equivalent to the one against the
+    near class B for every pair of the designated incomparable class A."""
     Jc, A, B, Mc = diamond
-    C, _ = sides(flavor, Jc, Mc)
-    return coset_map(s, flavor, C, A), coset_map(s, flavor, B, A)
-
-
-def _diamond_family(far, near):
-    """Whether, on one oriented diamond, the flat/full coset equality
-    against the far class is equivalent to the one against the near class
-    for every pair of the designated incomparable class, given the
-    flavor's ``_far_near`` maps."""
+    far = coset_map(s, flavor, sides(flavor, Jc, Mc)[0], A)
+    near = coset_map(s, flavor, B, A)
     return all(
         (far[x] == far[xp]) == (near[x] == near[xp])
         for x, xp in product(far, repeat=2)
@@ -323,15 +310,16 @@ def check_cancellation_laws(
     implications on every algebra, and hypothesis-gated equivalences on
     quasi-distributive/symmetric algebras."""
     diamonds = _oriented_diamonds(s)
-    # the far and near maps of each (diamond, flavor), formed once
-    maps = [{f: _far_near(s, d, f) for f in _FAMILY_OPS} for d in diamonds]
     records = []
     notes = []
 
     def unconditional():
-        for di, d in enumerate(diamonds):
-            for x, xp in product(sorted(d[1]), repeat=2):
-                for flavor, (far, near) in maps[di].items():
+        for di, (Jc, A, B, Mc) in enumerate(diamonds):
+            # per flavor: its maps of the far class C and of B through A
+            maps = [(f, coset_map(s, f, sides(f, Jc, Mc)[0], A), coset_map(s, f, B, A))
+                    for f in _FAMILY_OPS]
+            for x, xp in product(sorted(A), repeat=2):
+                for flavor, far, near in maps:
                     if far[x] == far[xp]:
                         yield (di, flavor, x, xp), near[x] == near[xp]
 
@@ -353,7 +341,7 @@ def check_cancellation_laws(
     # each (flavor, diamond) family once; every law that reads them
     # needs quasi-distributivity
     families = {
-        f: [_diamond_family(*m[f]) for m in maps] for f in _FAMILY_OPS
+        f: [_diamond_family(s, f, d) for d in diamonds] for f in _FAMILY_OPS
     } if qd else {}
     fam = lambda flavor: all(families[flavor])
 

@@ -444,38 +444,35 @@ def matrix_coset_remark_check(
             raise NotInStandardForm("block sizes do not sum to matrix dimension")
     upper, lower = _check_primitive(msl)
     s = msl.abstract
-    # (class, the class its cosets are taken of, criteria); a criterion
-    # is (name, coset function, the blocks whose equality it states)
-    classes = (
-        (lower, upper, (
-            ("full-lower", cosets.full_coset_meet, ((r2, r1), (r1, r2))),
-            ("right-lower", cosets.right_coset_meet, ((r2, r1), (r3, r1), (r1, r2))),
-            ("left-lower", cosets.left_coset_meet, ((r2, r1), (r1, r2), (r1, r3))),
+    # per kind, the criteria (name, coset flavor, the blocks whose equality
+    # it states); each runs over every pair of the class X whose elements
+    # the flavor's cosets are taken through
+    kinds = (
+        ("meet", (
+            ("full-lower", "full-meet", ((r2, r1), (r1, r2))),
+            ("right-lower", "right-meet", ((r2, r1), (r3, r1), (r1, r2))),
+            ("left-lower", "left-meet", ((r2, r1), (r1, r2), (r1, r3))),
         )),
-        (upper, lower, (
-            ("full-upper", cosets.full_coset_join, ((r3, r2), (r2, r3))),
-            ("right-upper", cosets.right_coset_join, ((r3, r1), (r3, r2), (r2, r3))),
-            ("left-upper", cosets.left_coset_join, ((r3, r2), (r1, r3), (r2, r3))),
+        ("join", (
+            ("full-upper", "full-join", ((r3, r2), (r2, r3))),
+            ("right-upper", "right-join", ((r3, r1), (r3, r2), (r2, r3))),
+            ("left-upper", "left-join", ((r3, r2), (r1, r3), (r2, r3))),
         )),
     )
     records = []
-    for cls, other, criteria in classes:
-        members = sorted(cls)
-        # each element's coset and blocks per criterion, formed once
-        keys = {
-            x: [
-                (coset(s, other, x),
-                 tuple(msl.elements[x].block(rr, cc) for rr, cc in blocks))
-                for _, coset, blocks in criteria
-            ]
-            for x in members
-        }
+    for kind, criteria in kinds:
+        C, X = cosets.sides(kind, upper, lower)
+        members = sorted(X)
+        checks = [
+            (name, cosets.coset_map(s, flavor, C, X),
+             {x: tuple(msl.elements[x].block(rr, cc) for rr, cc in blocks)
+              for x in members})
+            for name, flavor, blocks in criteria
+        ]
         for x in members:
             for y in members:
-                for (name, _, _), (cx, bx), (cy, by) in zip(
-                    criteria, keys[x], keys[y]
-                ):
-                    records.append(Record((name, x, y), cx == cy, bx == by))
+                for name, cx, bx in checks:
+                    records.append(Record((name, x, y), cx[x] == cx[y], bx[x] == bx[y]))
     return ConcordanceReport(
         law="matrix-block-coset-criteria",
         algebra=msl.origin,

@@ -12,7 +12,7 @@ import skewlat
 from skewlat import __version__, cli, matrix_rings
 from skewlat.catalog import canonical, nc5
 from skewlat.cli import main
-from skewlat.core import SkewLattice, chain, rectangular, to_json
+from skewlat.core import SkewLattice, chain, direct_product, rectangular, to_json
 
 
 @pytest.fixture()
@@ -263,6 +263,20 @@ def test_internal_inconsistency_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal inconsistency: self-check failed\n"
+
+
+def test_wrong_coset_comprehension_exit_3(capsys, monkeypatch, tmp_path):
+    # every right-join coset of the lower class is that whole class, so
+    # the cosets do not partition the upper class
+    from skewlat import cosets
+
+    monkeypatch.setattr(cosets, "right_coset_join", lambda s, C, x: frozenset(C))
+    path = tmp_path / "r31xc2.json"
+    path.write_text(to_json(direct_product(rectangular(3, 1), chain(2))))
+    code, out, err = run(capsys, "cosets", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "internal inconsistency: coset blocks do not partition\n"
 
 
 def test_verify_unknown_law(capsys, nc5_file):

@@ -1,7 +1,9 @@
+import re
 from itertools import product
 
 import pytest
 
+from skewlat import cosets
 from skewlat.cosets import (
     DClassPair,
     _is_partition,
@@ -21,8 +23,8 @@ from skewlat.cosets import (
     linking_elements,
     right_coset_meet,
 )
-from skewlat.core import validate
-from skewlat.errors import ElementNotInClass
+from skewlat.core import SkewLattice, chain, direct_product, rectangular, validate
+from skewlat.errors import ElementNotInClass, InternalInconsistency
 
 
 def _all_algebras(catalogs, samples):
@@ -56,6 +58,51 @@ def test_coset_blocks_within_a_side_are_equipotent(samples):
             assert len(sys.blocks) == 6
             for blocks in sys.blocks.values():
                 assert len({len(b) for b in blocks}) == 1
+
+
+def _split_off_top(real):
+    # the top of each coset as a block of its own: still a partition, but
+    # of unequal blocks once a coset has three elements
+    def wrong(s, C, x):
+        coset = real(s, C, x)
+        top = max(coset)
+        return frozenset({x}) if x == top else coset - {top}
+
+    return wrong
+
+
+# (comprehension, a wrong one made from it, the check it trips).  On
+# rectangular(3, 1) x chain(2), with (i, c) encoded as 2i + c, the upper
+# class is {1, 3, 5} and the lower {0, 2, 4}; each flavor's cosets are
+# singletons or the whole class, and (x + 2) % 6 is the next lower
+# element.  Dropping min(C) changes only cosets that lie in C itself:
+# B ^ a and b v A, which only the image-set and b v A checks read, while
+# the six partitions take their cosets in the other class.
+WRONG_COSETS = [
+    pytest.param("right_coset_join", lambda real: lambda s, C, x: frozenset(C),
+                 "coset blocks do not partition", id="partition"),
+    pytest.param("full_coset_join", _split_off_top,
+                 "coset blocks not equipotent", id="equipotence"),
+    pytest.param("full_coset_join", lambda real: lambda s, C, x: frozenset({x}),
+                 "left-join cosets do not refine full cosets", id="refinement"),
+    pytest.param("right_coset_meet", lambda real: lambda s, C, x: real(s, C, (x + 2) % 6),
+                 "right coset membership law fails", id="membership"),
+    pytest.param("left_coset_meet", lambda real: lambda s, C, x: real(s, C, x) - {min(C)},
+                 "right image set not a transversal", id="transversal"),
+    pytest.param("left_coset_join", lambda real: lambda s, C, x: real(s, C, x) - {min(C)},
+                 "b v A mismatch with >=_L description", id="join-description"),
+]
+
+
+@pytest.mark.parametrize("name, make_wrong, message", WRONG_COSETS)
+def test_flat_cosets_catch_a_wrong_comprehension(monkeypatch, name, make_wrong, message):
+    monkeypatch.setattr(cosets, name, make_wrong(getattr(cosets, name)))
+    # a fresh instance, so its coset store starts empty
+    s = direct_product(rectangular(3, 1), chain(2))
+    (pair,) = comparable_pairs(s)
+    assert pair == DClassPair(frozenset({1, 3, 5}), frozenset({0, 2, 4}))
+    with pytest.raises(InternalInconsistency, match=f"^{re.escape(message)}$"):
+        flat_cosets(s, pair)
 
 
 def test_full_coset_size_is_product_of_flat_sizes(catalogs, samples):
@@ -142,6 +189,19 @@ def test_kimura_diagram_commutes_everywhere(catalogs, samples):
                 for b in sorted(pair.lower):
                     ok, witness = kimura_diagram_check(s, pair, a, b)
                     assert ok, (pair, a, b, witness)
+
+
+def test_kimura_diagram_reports_its_least_failing_element():
+    # unvalidated tables: x v y = y, and x ^ y = x except in row 0, where
+    # 0 ^ 3 = 0 but 0 ^ x = x on {1, 2}.  B v 3 v B is {0, 1, 2}; at x the
+    # diagram compares b ^ (x v a) = 0 ^ 3 with b ^ x = 0 ^ x, which holds
+    # at x = 0 and fails at 1 and 2.
+    n = 4
+    meet = [[0, 1, 2, 0]] + [[x] * n for x in range(1, n)]
+    join = [list(range(n))] * n
+    s = SkewLattice(meet, join)
+    pair = DClassPair(upper=frozenset({3}), lower=frozenset({0, 1, 2}))
+    assert kimura_diagram_check(s, pair, 3, 0) == (False, 1)
 
 
 def test_linking_elements(samples):

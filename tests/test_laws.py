@@ -119,12 +119,7 @@ def test_decomposition_vacuous_without_comparable_pairs():
 def test_single_factor_flat_law_fails_on_nc5(nc5_right, nc5_left):
     # the reason the cancellation harness uses the conjunction form: one
     # coset-cancellative identity alone does not match one flat family
-    from skewlat.laws import (
-        _FAMILY_OPS,
-        _diamond_family,
-        _far_near,
-        _oriented_diamonds,
-    )
+    from skewlat.laws import _FAMILY_OPS, _diamond_family, _oriented_diamonds
     from skewlat.varieties import (
         is_left_coset_cancellative,
         is_right_coset_cancellative,
@@ -137,8 +132,7 @@ def test_single_factor_flat_law_fails_on_nc5(nc5_right, nc5_left):
         single = lcc or rcc
         families = {
             flavor: all(
-                _diamond_family(*_far_near(s, d, flavor))
-                for d in _oriented_diamonds(s)
+                _diamond_family(s, flavor, d) for d in _oriented_diamonds(s)
             )
             for flavor in _FAMILY_OPS
         }
@@ -223,26 +217,44 @@ def test_non_symmetric_symmetry_reports_match_golden_digest(non_symmetric7):
 
 
 def test_symmetric_families_form_each_map_once(monkeypatch, nc5_right):
-    # symmetry takes the full-meet and full-join maps of C, A and B on each
+    # symmetry reads the full-meet and full-join maps of C, A and B on each
     # skew diamond, and flat-symmetry the four flat ones: 6 and 12 maps
-    from skewlat import laws
+    # per diamond, one coset per element of X each.  Diamonds that share
+    # classes share maps in the coset store, so fewer cosets are formed,
+    # and none twice.
+    from collections import Counter
+
+    from skewlat import cosets
     from skewlat.core import direct_product
     from skewlat.decompose import skew_diamonds
 
-    s = direct_product(nc5_right, chain(2))
-    k = len(skew_diamonds(s))
-    assert k == 9
-    calls, real = [], laws.coset_map
+    calls = Counter()
+    for name in cosets.COSET_FLAVORS:
+        side, kind = name.split("-")
+        fn = getattr(cosets, f"{side}_coset_{kind}")
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+        def counting(s, C, x, fn=fn, name=name):
+            calls[name, frozenset(C), x] += 1
+            return fn(s, C, x)
 
-    monkeypatch.setattr(laws, "coset_map", counting)
-    for law, per_diamond in (("symmetry", 6), ("flat-symmetry", 12)):
+        monkeypatch.setattr(cosets, fn.__name__, counting)
+    for law, flavors, formed, worth in (
+        ("symmetry", ("full-meet", "full-join"), 38, 60),
+        ("flat-symmetry", ("right-meet", "right-join", "left-meet", "left-join"), 76, 120),
+    ):
+        s = direct_product(nc5_right, chain(2))
+        diamonds = skew_diamonds(s)
+        assert len(diamonds) == 9
         calls.clear()
         assert ALL_LAW_CHECKS[law](s, "nc5xc2").verdict == "concordant"
-        assert len(calls) == per_diamond * k, law
+        assert sum(calls.values()) == formed, law
+        assert max(calls.values()) == 1, law
+        # 6k and 12k maps' worth of cosets
+        assert worth == sum(
+            3 * len(cosets.sides(f, Jc, Mc)[1])
+            for Jc, _, _, Mc in diamonds
+            for f in flavors
+        )
 
 
 def test_order6_witness_families_by_hand():
@@ -254,8 +266,9 @@ def test_order6_witness_families_by_hand():
 
     from skewlat.catalog import enumerate_catalog
     from skewlat.core import direct_product
+    from skewlat.cosets import coset_map
     from skewlat.decompose import skew_diamonds
-    from skewlat.laws import _FAMILY_OPS, _diamond_family, _far_near
+    from skewlat.laws import _FAMILY_OPS, _diamond_family
 
     s = direct_product(
         enumerate_catalog(3).algebras[1], enumerate_catalog(2).algebras[0]
@@ -292,9 +305,10 @@ def test_order6_witness_families_by_hand():
                 (fn(far, x) == fn(far, xp)) == (fn(near, x) == fn(near, xp))
                 for x, xp in product(des, repeat=2)
             )
-            assert value == _diamond_family(
-                *_far_near(s, (Jc, des, near, Mc), flavor)
-            )
+            assert value == _diamond_family(s, flavor, (Jc, des, near, Mc))
+            # the maps the harness looks up hold the cosets computed here
+            for K in (far, near):
+                assert coset_map(s, flavor, K, des) == {x: fn(K, x) for x in des}
             # the one failing family: right-meet through A = {2, 4}
             assert value == ((flavor, des) != ("right-meet", A))
     assert set(coset) == set(_FAMILY_OPS)

@@ -2,7 +2,8 @@
 
 Counts executions of the function bodies themselves (not calls, which may
 be answered from the instance), while the whole analysis stack runs on one
-instance.
+instance.  Coset maps are such facts too: each coset is formed once per
+instance, however many readers look its map up.
 """
 
 import gc
@@ -86,6 +87,47 @@ def test_facts_built_at_most_once(s):
         cached = fn(s)
         hash(cached)  # immutable: shared by every caller
         assert cached == fn(fresh), name
+
+
+@pytest.mark.parametrize(
+    "s", ALGEBRAS + [pytest.param(direct_product(nc5("right"), chain(2)), id="nc5xc2")]
+)
+def test_cosets_formed_at_most_once(monkeypatch, s):
+    s = SkewLattice(s.meet, s.join)
+    formed = Counter()
+    for flavor in cosets.COSET_FLAVORS:
+        side, kind = flavor.split("-")
+        name = f"{side}_coset_{kind}"
+
+        def counting(t, C, x, fn=getattr(cosets, name), name=name):
+            # the quotients of the Kimura factors are kept alive by s
+            formed[id(t), name, frozenset(C), x] += 1
+            return fn(t, C, x)
+
+        monkeypatch.setattr(cosets, name, counting)
+    _analyze(s)
+    for pair in cosets.comparable_pairs(s):
+        cosets.flat_cosets(s, pair)
+    assert max(formed.values(), default=1) == 1, formed.most_common(1)
+
+
+def test_coset_maps_are_shared_read_only_facts():
+    s = direct_product(nc5("right"), chain(2))
+    _analyze(s)
+    assert s.__dict__[cosets._STORE]
+    pair = cosets.comparable_pairs(s)[0]
+    C, X = cosets.sides("full-meet", pair.upper, pair.lower)
+    shared = cosets.coset_map(s, "full-meet", C, X)
+    # keyed by the two sets, whatever their form; X in ascending order
+    assert cosets.coset_map(s, "full-meet", set(C), sorted(X, reverse=True)) is shared
+    assert list(shared) == sorted(X)
+    with pytest.raises(TypeError):
+        shared[min(X)] = frozenset()
+
+    fresh = SkewLattice(s.meet, s.join)
+    assert fresh == s and hash(fresh) == hash(s)
+    assert cosets._STORE not in fresh.__dict__
+    assert cosets.coset_map(fresh, "full-meet", C, X) == shared
 
 
 def test_analysed_algebra_freed_without_the_cycle_collector():
