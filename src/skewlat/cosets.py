@@ -1,5 +1,7 @@
-"""Full and flat cosets between comparable D-classes, coset bijections,
-the rectangular coset decomposition, and the commuting-diagram check.
+"""Full and flat cosets between comparable D-classes, and their
+partitions.  The theorems about them (the flat decomposition of each full
+coset, the coset bijections, image sets, intersection and linking laws and
+the Kimura diagram) are law records: `laws.check_coset_structure_laws`.
 
 All coset sets are computed by direct evaluation of their defining
 comprehensions; nothing is derived through quotient shortcuts.
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import SkewLattice
-from .errors import ElementNotInClass, InternalInconsistency
-from .greens import dclass_order, natural_order
+from .errors import InternalInconsistency
+from .greens import dclass_order
 
 # --- generic coset comprehensions ----------------------------------------
 # C is any element set; these are meaningful also for incomparable classes
@@ -112,14 +114,6 @@ class CosetSystem:
     blocks: dict  # flavor -> its cosets, sorted by least element
 
 
-@dataclass(frozen=True)
-class CosetBijection:
-    kind: str  # full | right | left
-    from_block: frozenset
-    to_block: frozenset
-    mapping: tuple  # sorted (x, y) association pairs
-
-
 def comparable_pairs(s: SkewLattice):
     """All ordered pairs (A, B) of distinct D-classes with A > B in S/D."""
     d, leq = dclass_order(s)
@@ -131,13 +125,6 @@ def comparable_pairs(s: SkewLattice):
                 out.append(DClassPair(upper=d.blocks[i], lower=d.blocks[j]))
     out.sort(key=lambda p: (min(p.upper), min(p.lower)))
     return out
-
-
-def _kind_maps(s, pair, kind):
-    """The pair's full, right and left coset maps of a kind, "meet" or
-    "join"."""
-    C, X = sides(kind, pair.upper, pair.lower)
-    return [coset_map(s, f"{side}-{kind}", C, X) for side in ("full", "right", "left")]
 
 
 def _blocks(sets):
@@ -193,214 +180,6 @@ def _verify_system(s, sys):
     for b, coset in coset_map(s, "left-join", A, B).items():  # b v A
         if coset != frozenset(a for a in A if mt[b][a] == b):
             raise InternalInconsistency("b v A mismatch with >=_L description")
-
-
-def image_sets(s: SkewLattice, pair: DClassPair, x: int) -> frozenset:
-    """Image set of x in the opposite class: {y : y < x} or {y : x < y}."""
-    A, B = pair.upper, pair.lower
-    order = natural_order(s)
-    if x in A:
-        img = frozenset(s.m(x, b, x) for b in B)
-        by_order = frozenset(b for b in B if b in order[x] and b != x)
-        blocks = _blocks(coset_map(s, "full-meet", A, B).values())
-    elif x in B:
-        img = frozenset(s.j(x, a, x) for a in A)
-        by_order = frozenset(a for a in A if x in order[a] and a != x)
-        blocks = _blocks(coset_map(s, "full-join", B, A).values())
-    else:
-        raise ElementNotInClass(f"{x} not in either class")
-    if img != by_order:
-        raise InternalInconsistency("image set differs from order description")
-    for blk in blocks:
-        if len(img & blk) != 1:
-            raise InternalInconsistency("image set not a coset transversal")
-    return img
-
-
-def _restrict_tables(s, elems):
-    order = sorted(elems)
-    idx = {e: i for i, e in enumerate(order)}
-    meet = [[idx[s.meet[a][b]] for b in order] for a in order]
-    join = [[idx[s.join[a][b]] for b in order] for a in order]
-    return order, meet, join
-
-
-def induced_subalgebra(s: SkewLattice, elems) -> SkewLattice:
-    """Subalgebra on a closed subset; raises if the subset is not closed."""
-    es = set(elems)
-    for a in es:
-        for b in es:
-            if s.meet[a][b] not in es or s.join[a][b] not in es:
-                raise ElementNotInClass(
-                    f"subset not closed at ({a}, {b})"
-                )
-    _, meet, join = _restrict_tables(s, es)
-    return SkewLattice(meet, join)
-
-
-def coset_bijection(
-    s: SkewLattice, pair: DClassPair, a: int, b: int, kind: str
-) -> CosetBijection:
-    """The coset bijection determined by (a, b), verified to be a
-    bijective homomorphism with the stated order pairing."""
-    A, B = pair.upper, pair.lower
-    if a not in A:
-        raise ElementNotInClass(f"{a} not in the upper class")
-    if b not in B:
-        raise ElementNotInClass(f"{b} not in the lower class")
-    if kind not in ("full", "right", "left"):
-        raise ValueError(f"unknown bijection kind {kind!r}")
-    mt = s.meet
-    order = natural_order(s)
-    # B v a v B, B v a or a v B onto A ^ b ^ A, b ^ A or A ^ b
-    dom = coset_map(s, f"{kind}-join", B, A)[a]
-    cod = coset_map(s, f"{kind}-meet", A, B)[b]
-    if kind == "full":
-        fwd = {x: s.m(x, b, x) for x in dom}
-        relation = lambda xx, yy: yy in order[xx]
-    elif kind == "right":
-        fwd = {x: s.m(b, x) for x in dom}
-        inv = {y: s.j(y, a) for y in cod}
-        relation = lambda xx, yy: mt[yy][xx] == yy  # y <=_L x
-    else:
-        fwd = {x: s.m(x, b) for x in dom}
-        inv = {y: s.j(a, y) for y in cod}
-        relation = lambda xx, yy: mt[xx][yy] == yy  # y <=_R x
-
-    if set(fwd.values()) != cod or len(set(fwd.values())) != len(dom):
-        raise InternalInconsistency(f"{kind} coset map is not bijective")
-    for xx, yy in fwd.items():
-        if not relation(xx, yy):
-            raise InternalInconsistency(
-                f"{kind} coset map violates its order pairing at {xx}"
-            )
-    if kind in ("right", "left"):
-        for xx in dom:
-            if inv[fwd[xx]] != xx:
-                raise InternalInconsistency(f"{kind} inverse check fails")
-    # homomorphism between the induced (rectangular) subalgebras
-    for xx in dom:
-        for yy in dom:
-            if fwd[s.m(xx, yy)] != s.m(fwd[xx], fwd[yy]):
-                raise InternalInconsistency(f"{kind} map not a ^-morphism")
-            if fwd[s.j(xx, yy)] != s.j(fwd[xx], fwd[yy]):
-                raise InternalInconsistency(f"{kind} map not a v-morphism")
-    return CosetBijection(
-        kind=kind,
-        from_block=frozenset(dom),
-        to_block=frozenset(cod),
-        mapping=tuple(sorted(fwd.items())),
-    )
-
-
-def coset_intersection(s: SkewLattice, pair: DClassPair, x: int, xp: int):
-    """(x ^ A) intersect (A ^ x'): the singleton {x ^ x'} when the two lie
-    in the same full coset, empty otherwise."""
-    B = pair.lower
-    if x not in B or xp not in B:
-        raise ElementNotInClass(f"{x}, {xp} must lie in the lower class")
-    full, right, left = _kind_maps(s, pair, "meet")
-    literal = right[x] & left[xp]
-    same = full[x] == full[xp]
-    expected = frozenset([s.m(x, xp)]) if same else frozenset()
-    if literal != expected:
-        raise InternalInconsistency("coset intersection law fails")
-    return s.m(x, xp) if same else None
-
-
-def linking_elements(s: SkewLattice, pair: DClassPair, x: int, y: int):
-    """(x^y, y^x) linking the right coset of x with the left coset of y
-    (and dually), when both lie in the same full coset."""
-    B = pair.lower
-    if x not in B or y not in B:
-        raise ElementNotInClass(f"{x}, {y} must lie in the lower class")
-    full, right, left = _kind_maps(s, pair, "meet")
-    if full[x] != full[y]:
-        return None
-    b, c = s.m(x, y), s.m(y, x)
-    checks = (
-        left[b] == left[y],
-        right[x] == right[b],
-        right[c] == right[y],
-        left[x] == left[c],
-    )
-    if not all(checks):
-        raise InternalInconsistency("linking element laws fail")
-    return b, c
-
-
-@dataclass(frozen=True)
-class DeltaDecomposition:
-    """Isomorphism of a full coset with the product of its flat cosets."""
-
-    domain: tuple      # the full coset, sorted
-    left_block: tuple  # A ^ x (rows of the product), sorted
-    right_block: tuple # x ^ A (columns), sorted
-    mapping: tuple     # (z, (left index, right index)) pairs
-
-
-def delta_decomposition(
-    s: SkewLattice, pair: DClassPair, x: int
-) -> DeltaDecomposition:
-    """z -> (z ^ x, x ^ z), verified bijective onto the rectangular product
-    of the left and right cosets through x."""
-    if x not in pair.lower:
-        raise ElementNotInClass(f"{x} not in the lower class")
-    dom, right, left = (sorted(m[x]) for m in _kind_maps(s, pair, "meet"))
-    return _delta(s, dom, left, right, lambda z: (s.m(z, x), s.m(x, z)))
-
-
-def delta_decomposition_up(
-    s: SkewLattice, pair: DClassPair, y: int
-) -> DeltaDecomposition:
-    """Dual map u -> (y v u, u v y) on the coset B v y v B."""
-    if y not in pair.upper:
-        raise ElementNotInClass(f"{y} not in the upper class")
-    dom, right, left = (sorted(m[y]) for m in _kind_maps(s, pair, "join"))
-    return _delta(s, dom, left, right, lambda u: (s.j(y, u), s.j(u, y)))
-
-
-def _delta(s, dom, left, right, fn):
-    li = {e: i for i, e in enumerate(left)}
-    ri = {e: i for i, e in enumerate(right)}
-    fwd = {}
-    for z in dom:
-        u, v = fn(z)
-        if u not in li or v not in ri:
-            raise InternalInconsistency("delta image leaves the flat cosets")
-        fwd[z] = (li[u], ri[v])
-    if len(set(fwd.values())) != len(dom) or len(dom) != len(left) * len(right):
-        raise InternalInconsistency("delta map is not bijective")
-    # homomorphism onto the rectangular product (u,v)^(u',v') = (u,v')
-    for z1 in dom:
-        for z2 in dom:
-            mz = fwd[s.m(z1, z2)]
-            jz = fwd[s.j(z1, z2)]
-            if mz != (fwd[z1][0], fwd[z2][1]):
-                raise InternalInconsistency("delta not a ^-morphism")
-            if jz != (fwd[z2][0], fwd[z1][1]):
-                raise InternalInconsistency("delta not a v-morphism")
-    return DeltaDecomposition(
-        domain=tuple(dom),
-        left_block=tuple(left),
-        right_block=tuple(right),
-        mapping=tuple(sorted(fwd.items())),
-    )
-
-
-def kimura_diagram_check(s: SkewLattice, pair: DClassPair, a: int, b: int):
-    """Commutation of the flat-coset maps with the full coset bijection:
-    for every x in B v a v B, ((a v x) ^ b, b ^ (x v a)) must equal
-    (x ^ b, b ^ x)."""
-    A, B = pair.upper, pair.lower
-    if a not in A or b not in B:
-        raise ElementNotInClass(f"({a}, {b}) not in (upper, lower)")
-    for x in sorted(coset_map(s, "full-join", B, A)[a]):
-        via_flat = (s.m(s.j(a, x), b), s.m(b, s.j(x, a)))
-        via_full = (s.m(x, b), s.m(b, x))
-        if via_flat != via_full:
-            return False, x
-    return True, None
 
 
 def coset_system_to_json(sys: CosetSystem):

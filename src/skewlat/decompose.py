@@ -82,12 +82,6 @@ def kimura(s: SkewLattice) -> KimuraDecomposition:
     return KimuraDecomposition(qr, ql, qd, fibered, tuple(pairs), iso)
 
 
-def projections(s: SkewLattice):
-    """(x_L, x_R) maps: x_L lives in S/R, x_R in S/L."""
-    dec = kimura(s)
-    return dec.left_factor.class_of, dec.right_factor.class_of
-
-
 def _closed_so_far(chosen, elem_rank, mt, jt):
     """No meet or join of two chosen elements lies in a decided D-class
     (one of the first len(chosen) in the search order) without being
@@ -169,9 +163,10 @@ def find_lattice_section(s: SkewLattice) -> Sections:
     return Sections(s0, s_l, s_r, tuple(pi_l), tuple(pi_r))
 
 
+@_cached
 def skew_diamonds(s: SkewLattice):
     """All (J, A, B, M) with A, B incomparable, J their join and M their
-    meet in S/D; classes are returned as frozensets of elements."""
+    meet in S/D, as a tuple; classes are frozensets of elements."""
     d, leq = dclass_order(s)
     t = kimura(s).base.quotient
     k = len(d.blocks)
@@ -186,7 +181,7 @@ def skew_diamonds(s: SkewLattice):
             Jc, Mc = d.blocks[jcls], d.blocks[mcls]
             _verify_diamond_classes(s, A, B, Jc, Mc)
             out.append((Jc, A, B, Mc))
-    return out
+    return tuple(out)
 
 
 def _verify_diamond_classes(s, A, B, Jc, Mc):

@@ -32,10 +32,6 @@ class ElementOutOfRange(SkewLatticeError):
     pass
 
 
-class ElementNotInClass(SkewLatticeError):
-    pass
-
-
 class NotACongruence(SkewLatticeError):
     def __init__(self, witness):
         self.witness = witness

@@ -146,6 +146,7 @@ def natural_order(s: SkewLattice):
     )
 
 
+@_cached
 def flat_preorder_L(s: SkewLattice):
     """rel[x] holds y iff x <=_L y, i.e. x = x^y."""
     n, mt = s.n, s.meet
@@ -154,6 +155,7 @@ def flat_preorder_L(s: SkewLattice):
     )
 
 
+@_cached
 def flat_preorder_R(s: SkewLattice):
     """rel[x] holds y iff x <=_R y, i.e. x = y^x."""
     n, mt = s.n, s.meet

@@ -1,6 +1,6 @@
 """Executable coset-law checks: each structural law about symmetry,
-normality, cancellation, or decomposition is evaluated on a concrete
-algebra by computing both sides of its equivalence and reporting
+normality, cancellation, decomposition or coset structure is evaluated on
+a concrete algebra by computing both sides of its equivalence and reporting
 agreement.  Hypothesis-gated laws note "not applicable" rather than
 silently skipping."""
 
@@ -12,7 +12,14 @@ from .cosets import COSET_FLAVORS as _FAMILY_OPS
 from .cosets import comparable_pairs, coset_map, sides
 from .core import SkewLattice
 from .decompose import kimura, skew_diamonds
-from .greens import green_L, green_R
+from .greens import (
+    flat_preorder_L,
+    flat_preorder_R,
+    green_L,
+    green_R,
+    natural_order,
+    principal_ideals,
+)
 from .reports import ConcordanceReport, Record
 from .varieties import (
     LEFT_LOWER_SYMMETRIC,
@@ -262,11 +269,11 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     # and S ^ y meets each R-class at most once iff left quasi-normal.
     # (The source states these with the two Green's relations exchanged,
     # which fails already at order 2.)
-    mt = s.meet
+    ideals = [principal_ideals(s, y) for y in range(s.n)]
 
-    def ideal_classes_trivial(ideals, rel):
-        # ideals[y] lists the principal ideal of y, repeats allowed
-        for y, ideal in enumerate(map(set, ideals)):
+    def ideal_classes_trivial(side, rel):
+        for y, both in enumerate(ideals):
+            ideal = both[side]
             for x in sorted(ideal):
                 yield (y, x), {z for z in ideal if rel.same(x, z)} == {x}
 
@@ -274,14 +281,14 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
         _aggregate(
             "right-quasi-normal-iff-ideal-L-trivial",
             rqn,
-            ideal_classes_trivial(mt, lrel),  # rows: y ^ S
+            ideal_classes_trivial(0, lrel),  # y ^ S
         )
     )
     records.append(
         _aggregate(
             "left-quasi-normal-iff-ideal-R-trivial",
             lqn,
-            ideal_classes_trivial(zip(*mt), rrel),  # columns: S ^ y
+            ideal_classes_trivial(1, rrel),  # S ^ y
         )
     )
     records.append(
@@ -491,10 +498,161 @@ def check_decomposition_laws(
     return ConcordanceReport("decomposition-coset-laws", algebra, tuple(records))
 
 
+# --- the coset theorems ---------------------------------------------------
+# J. Leech, "The geometric structure of skew lattices", Trans. AMS 335
+# (1993): the cosets between comparable D-classes, their bijections, image
+# sets, intersections and linking elements, and the decomposition of each
+# full coset as the product of its flat ones.  N. Kimura, "The structure of
+# idempotent semigroups I", Pacific J. Math. 8 (1958): the diagram that
+# fibers the full coset bijection over the flat ones.
+
+
+_COSET_THEOREMS = (
+    "delta-bijective-onto-flat-product",
+    "delta-rectangular-homomorphism",
+    "coset-bijections-onto",
+    "coset-bijections-order-pairing",
+    "flat-coset-bijections-inverses",
+    "coset-bijections-homomorphisms",
+    "image-set-is-order-description",
+    "image-set-is-transversal",
+    "flat-coset-intersections",
+    "linking-elements",
+    "kimura-diagram",
+)
+
+
+def _side_theorems(checks, s, pi, pair, kind):
+    """The theorems of one kind of a comparable pair, read through the
+    duality that swaps meet and join: `op` is the kind's table and `co` the
+    other one, and, writing x.y for op, `full`, `xC` and `Cx` map each x in
+    X to C.x.C, x.C and C.x.  For meet, x.C is the right coset x ^ C; for
+    join, it is the left coset x v C."""
+    op, co = (s.meet, s.join) if kind == "meet" else (s.join, s.meet)
+    C, X = sides(kind, pair.upper, pair.lower)
+    flats = ("right", "left") if kind == "meet" else ("left", "right")
+    full, xC, Cx = (coset_map(s, f"{f}-{kind}", C, X) for f in ("full", *flats))
+    order, side = natural_order(s), (pi, kind)
+    for x, dom in full.items():
+        # delta_x, z -> (z.x, x.z): a bijection onto C.x times x.C, and a
+        # homomorphism onto that rectangular product
+        delta = {z: (op[z][x], op[x][z]) for z in sorted(dom)}
+        image = set(delta.values())
+        checks["delta-bijective-onto-flat-product"].append((
+            side + (x,),
+            image == set(product(Cx[x], xC[x])) and len(image) == len(delta),
+        ))
+        for (z, (u, t)), (w, (u2, t2)) in product(delta.items(), repeat=2):
+            checks["delta-rectangular-homomorphism"].append((
+                side + (x, z, w),
+                delta.get(op[z][w]) == (u, t2) and delta.get(co[z][w]) == (u2, t),
+            ))
+    # the image set c.X.c is X below c (meet) or above c (join), and meets
+    # each full coset once
+    blocks = set(full.values())
+    for c in sorted(C):
+        image = frozenset(op[op[c][x]][c] for x in X)
+        if kind == "meet":
+            described = X & order[c]
+        else:
+            described = frozenset(x for x in X if c in order[x])
+        checks["image-set-is-order-description"].append(
+            (side + (c,), image == described)
+        )
+        checks["image-set-is-transversal"].append(
+            (side + (c,), all(len(image & block) == 1 for block in blocks))
+        )
+    for x, y in product(full, repeat=2):
+        same = full[x] == full[y]
+        # x.C meets C.y in {x.y} when x and y share a full coset, else nowhere
+        checks["flat-coset-intersections"].append(
+            (side + (x, y), xC[x] & Cx[y] == ({op[x][y]} if same else set()))
+        )
+        if same:  # b = x.y and c = y.x link the flat cosets of x and y
+            b, c = op[x][y], op[y][x]
+            checks["linking-elements"].append((
+                side + (x, y),
+                (Cx[b], xC[b], xC[c], Cx[c]) == (Cx[y], xC[x], xC[y], Cx[x]),
+            ))
+
+
+def _bijection_theorems(checks, s, pi, pair):
+    """The coset bijections of a comparable pair A > B: for each side full,
+    right and left and each (a, b), x -> x ^ b ^ x, b ^ x or x ^ b from the
+    join coset of B through a onto the meet coset of A through b.  The map
+    depends on a only through that domain, so the checks that do not read
+    a run once per (domain, b), at its least a."""
+    A, B, mt, jt = pair.upper, pair.lower, s.meet, s.join
+    order, pl, pr = natural_order(s), flat_preorder_L(s), flat_preorder_R(s)
+    for side in ("full", "right", "left"):
+        doms = coset_map(s, f"{side}-join", B, A)
+        cods = coset_map(s, f"{side}-meet", A, B)
+        built = {}
+        for a, b in product(doms, cods):
+            inst, key = (pi, side, a, b), (doms[a], b)
+            if key not in built:
+                fwd = built[key] = {
+                    x: mt[mt[x][b]][x] if side == "full"
+                    else mt[b][x] if side == "right" else mt[x][b]
+                    for x in sorted(doms[a])
+                }
+                image = set(fwd.values())
+                checks["coset-bijections-onto"].append(
+                    (inst, image == cods[b] and len(image) == len(fwd))
+                )
+                # y <= x in the natural order (full), <=_L (right), <=_R (left)
+                for x, y in fwd.items():
+                    checks["coset-bijections-order-pairing"].append((
+                        inst + (x,),
+                        y in order[x] if side == "full"
+                        else x in (pl if side == "right" else pr)[y],
+                    ))
+                for (x, fx), (y, fy) in product(fwd.items(), repeat=2):
+                    checks["coset-bijections-homomorphisms"].append((
+                        inst + (x, y),
+                        fwd.get(mt[x][y]) == mt[fx][fy]
+                        and fwd.get(jt[x][y]) == jt[fx][fy],
+                    ))
+            fwd = built[key]
+            for x, y in fwd.items():
+                if side == "full":
+                    # the flat maps commute with the full bijection
+                    checks["kimura-diagram"].append((
+                        (pi, a, b, x),
+                        (mt[jt[a][x]][b], mt[b][jt[x][a]]) == (mt[x][b], mt[b][x]),
+                    ))
+                else:  # undone by y -> y v a (right) or a v y (left)
+                    checks["flat-coset-bijections-inverses"].append(
+                        (inst + (x,), (jt[y][a] if side == "right" else jt[a][y]) == x)
+                    )
+
+
+def check_coset_structure_laws(
+    s: SkewLattice, algebra: str = "?"
+) -> ConcordanceReport:
+    """The coset theorems (Leech 1993; Kimura 1958, for the diagram) over
+    every comparable pair, one record each.  Every theorem holds on every
+    skew lattice, so a record's lhs is True; its rhs is whether each
+    instance's value, read off the definition, equals the theorem's
+    description.  The witness is the least failing instance: pairs in
+    `comparable_pairs` order, then the meet side before the join side, or
+    the full, right and left bijections in turn, then elements ascending.
+    Every coset is looked up in the coset store, under keys that the
+    decomposition family reads too."""
+    checks = {name: [] for name in _COSET_THEOREMS}
+    for pi, pair in enumerate(comparable_pairs(s)):
+        for kind in ("meet", "join"):
+            _side_theorems(checks, s, pi, pair, kind)
+        _bijection_theorems(checks, s, pi, pair)
+    records = (_aggregate(name, True, found) for name, found in checks.items())
+    return ConcordanceReport("coset-structure-laws", algebra, tuple(records))
+
+
 ALL_LAW_CHECKS = {
     "symmetry": check_symmetry_laws,
     "flat-symmetry": check_flat_symmetry_laws,
     "normality": check_normality_laws,
     "cancellation": check_cancellation_laws,
     "decomposition": check_decomposition_laws,
+    "coset-structure": check_coset_structure_laws,
 }

@@ -25,7 +25,6 @@ from .core import SkewLattice, _cached
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
-    ElementOutOfRange,
     InternalInconsistency,
 )
 from .decompose import kimura
@@ -533,17 +532,3 @@ def center(s: SkewLattice) -> frozenset:
     if z != right_center(s) & left_center(s):
         raise InternalInconsistency("Z != Z_L intersect Z_R")
     return z
-
-
-def commutation_classes(s: SkewLattice, a: int, b: int):
-    """Six commutation flags for the pair (a, b)."""
-    if not (0 <= a < s.n and 0 <= b < s.n):
-        raise ElementOutOfRange((a, b))
-    return {
-        "meet_commute": s.m(a, b) == s.m(b, a),
-        "join_commute": s.j(a, b) == s.j(b, a),
-        "right_meet": s.m(a, b) == s.m(a, b, a),
-        "right_join": s.j(a, b) == s.j(b, a, b),
-        "left_meet": s.m(a, b) == s.m(b, a, b),
-        "left_join": s.j(a, b) == s.j(a, b, a),
-    }

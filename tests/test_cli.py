@@ -204,7 +204,7 @@ def test_verify_files(capsys, nc5_file):
     code, out, _ = run(capsys, "verify", nc5_file)
     assert code == 0
     reports = json.loads(out)
-    assert len(reports) == 5
+    assert len(reports) == 6
     assert all(r["verdict"] == "concordant" for r in reports)
 
 
@@ -277,6 +277,34 @@ def test_wrong_coset_comprehension_exit_3(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "internal inconsistency: coset blocks do not partition\n"
+
+
+def test_wrong_coset_comprehension_is_a_discordant_coset_structure(
+    capsys, monkeypatch, tmp_path
+):
+    # the same wrong comprehension under verify: the coset-structure family
+    # reports it as a finding, with its witness, not as exit 3.  The least
+    # failing instance is delta_x on the join side of pair 0 at x = 1: its
+    # full coset {1, 3, 5} cannot map onto C v 1 times 1 v C = {1, 3, 5}
+    # times {1}, since C v 1 is now all of C = {0, 2, 4}
+    from skewlat import cosets
+
+    monkeypatch.setattr(cosets, "right_coset_join", lambda s, C, x: frozenset(C))
+    path = tmp_path / "r31xc2.json"
+    path.write_text(to_json(direct_product(rectangular(3, 1), chain(2))))
+    code, out, err = run(capsys, "verify", str(path), "--laws", "coset-structure")
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["law"] == "coset-structure-laws"
+    assert report["verdict"] == "discordant"
+    witness = {
+        "instance": ["delta-bijective-onto-flat-product", 0, "join", 1],
+        "lhs": True,
+        "rhs": False,
+    }
+    assert report["witness"] == witness
+    assert f"discordant: {path} / coset-structure-laws: {witness}" in err
+    assert "internal inconsistency" not in err
 
 
 def test_verify_unknown_law(capsys, nc5_file):

@@ -3,28 +3,22 @@ from itertools import product
 
 import pytest
 
-from skewlat import cosets
+from skewlat import cosets, laws
 from skewlat.cosets import (
     DClassPair,
     _is_partition,
     comparable_pairs,
-    coset_bijection,
-    coset_intersection,
+    coset_map,
     coset_system_to_json,
-    delta_decomposition,
-    delta_decomposition_up,
     flat_cosets,
-    full_coset_join,
     full_coset_meet,
-    image_sets,
-    induced_subalgebra,
-    kimura_diagram_check,
     left_coset_meet,
-    linking_elements,
     right_coset_meet,
+    sides,
 )
-from skewlat.core import SkewLattice, chain, direct_product, rectangular, validate
-from skewlat.errors import ElementNotInClass, InternalInconsistency
+from skewlat.core import SkewLattice, chain, direct_product, rectangular
+from skewlat.errors import InternalInconsistency
+from skewlat.laws import check_coset_structure_laws
 
 
 def _all_algebras(catalogs, samples):
@@ -105,127 +99,120 @@ def test_flat_cosets_catch_a_wrong_comprehension(monkeypatch, name, make_wrong, 
         flat_cosets(s, pair)
 
 
+def _theorems(s):
+    """The coset-structure family's records on s, by theorem."""
+    return {r.instance[0]: r for r in check_coset_structure_laws(s).records}
+
+
+def _holds(s, *names):
+    records = _theorems(s)
+    return all(records[n].lhs and records[n].rhs for n in names)
+
+
 def test_full_coset_size_is_product_of_flat_sizes(catalogs, samples):
+    # delta_x maps each full coset onto the product of its two flat ones
     for s in _all_algebras(catalogs, samples):
+        assert _holds(
+            s, "delta-bijective-onto-flat-product", "delta-rectangular-homomorphism"
+        )
         for pair in comparable_pairs(s):
-            for x in sorted(pair.lower):
-                dec = delta_decomposition(s, pair, x)
-                assert len(dec.domain) == len(dec.left_block) * len(
-                    dec.right_block
+            for kind in ("meet", "join"):
+                C, X = sides(kind, pair.upper, pair.lower)
+                full, right, left = (
+                    coset_map(s, f"{side}-{kind}", C, X)
+                    for side in ("full", "right", "left")
                 )
-            for y in sorted(pair.upper):
-                dec = delta_decomposition_up(s, pair, y)
-                assert len(dec.domain) == len(dec.left_block) * len(
-                    dec.right_block
-                )
-
-
-def test_delta_rejects_misplaced_element(nc5_right):
-    pair = comparable_pairs(nc5_right)[0]
-    outside = next(iter(pair.upper))
-    with pytest.raises(ElementNotInClass):
-        delta_decomposition(nc5_right, pair, outside)
+                for x in X:
+                    assert len(full[x]) == len(right[x]) * len(left[x])
 
 
 @pytest.mark.parametrize("kind", ["full", "right", "left"])
 def test_coset_bijections_cover_every_pair(samples, kind):
     for s in samples.values():
+        assert _holds(
+            s,
+            "coset-bijections-onto",
+            "coset-bijections-homomorphisms",
+            "flat-coset-bijections-inverses",
+        )
         for pair in comparable_pairs(s):
-            for a in sorted(pair.upper):
-                for b in sorted(pair.lower):
-                    bij = coset_bijection(s, pair, a, b, kind)
-                    assert bij.kind == kind
-                    xs = [x for x, _ in bij.mapping]
-                    ys = [y for _, y in bij.mapping]
-                    assert sorted(set(xs)) == sorted(xs)
-                    assert sorted(set(ys)) == sorted(ys)
+            doms = coset_map(s, f"{kind}-join", pair.lower, pair.upper)
+            cods = coset_map(s, f"{kind}-meet", pair.upper, pair.lower)
+            for a, b in product(doms, cods):
+                assert len(doms[a]) == len(cods[b])
 
 
 def test_full_bijection_pairs_by_natural_order(samples):
     for s in samples.values():
+        assert _holds(s, "coset-bijections-order-pairing")
         leq = [
             [s.m(x, y) == y and s.m(y, x) == y for y in range(s.n)]
             for x in range(s.n)
         ]
         for pair in comparable_pairs(s):
-            for a in sorted(pair.upper):
-                for b in sorted(pair.lower):
-                    bij = coset_bijection(s, pair, a, b, "full")
-                    for x, y in bij.mapping:
-                        assert leq[x][y]  # y <= x
+            doms = coset_map(s, "full-join", pair.lower, pair.upper)
+            for a, b in product(doms, sorted(pair.lower)):
+                for x in doms[a]:
+                    assert leq[x][s.m(x, b, x)]  # x ^ b ^ x <= x
 
 
 def test_coset_intersection(samples):
     for s in samples.values():
+        assert _holds(s, "flat-coset-intersections")
         for pair in comparable_pairs(s):
-            lower = sorted(pair.lower)
-            for x, xp in product(lower, repeat=2):
-                inter = coset_intersection(s, pair, x, xp)
-                same_full = full_coset_meet(s, pair.upper, x) == full_coset_meet(
-                    s, pair.upper, xp
-                )
+            A = pair.upper
+            for x, xp in product(sorted(pair.lower), repeat=2):
+                same_full = full_coset_meet(s, A, x) == full_coset_meet(s, A, xp)
                 # the two flat cosets meet exactly in x ^ x' iff the full
-                # cosets coincide (verified internally); None otherwise
-                assert inter == (s.m(x, xp) if same_full else None)
+                # cosets coincide
+                inter = right_coset_meet(s, A, x) & left_coset_meet(s, A, xp)
+                assert inter == ({s.m(x, xp)} if same_full else set())
 
 
 def test_image_sets_transversal(samples):
-    # image_sets internally audits both the order description and the
-    # one-point-per-coset transversal law; here we check types and sides
     for s in samples.values():
+        assert _holds(s, "image-set-is-order-description", "image-set-is-transversal")
         for pair in comparable_pairs(s):
-            for b in sorted(pair.lower):
-                img = image_sets(s, pair, b)
-                assert img <= pair.upper
-            for a in sorted(pair.upper):
-                img = image_sets(s, pair, a)
-                assert img <= pair.lower
+            for a in pair.upper:
+                assert {s.m(a, b, a) for b in pair.lower} <= pair.lower
+            for b in pair.lower:
+                assert {s.j(b, a, b) for a in pair.upper} <= pair.upper
 
 
 def test_kimura_diagram_commutes_everywhere(catalogs, samples):
     for s in _all_algebras(catalogs, samples):
-        for pair in comparable_pairs(s):
-            for a in sorted(pair.upper):
-                for b in sorted(pair.lower):
-                    ok, witness = kimura_diagram_check(s, pair, a, b)
-                    assert ok, (pair, a, b, witness)
+        record = _theorems(s)["kimura-diagram"]
+        assert record.agree, record
 
 
-def test_kimura_diagram_reports_its_least_failing_element():
+def test_kimura_diagram_reports_its_least_failing_element(monkeypatch):
     # unvalidated tables: x v y = y, and x ^ y = x except in row 0, where
     # 0 ^ 3 = 0 but 0 ^ x = x on {1, 2}.  B v 3 v B is {0, 1, 2}; at x the
     # diagram compares b ^ (x v a) = 0 ^ 3 with b ^ x = 0 ^ x, which holds
-    # at x = 0 and fails at 1 and 2.
+    # at x = 0 and fails at 1 and 2.  The tables have no D-classes to read,
+    # so the pair is given.
     n = 4
     meet = [[0, 1, 2, 0]] + [[x] * n for x in range(1, n)]
     join = [list(range(n))] * n
     s = SkewLattice(meet, join)
     pair = DClassPair(upper=frozenset({3}), lower=frozenset({0, 1, 2}))
-    assert kimura_diagram_check(s, pair, 3, 0) == (False, 1)
+    monkeypatch.setattr(laws, "comparable_pairs", lambda s: [pair])
+    record = _theorems(s)["kimura-diagram"]
+    # pair 0, a = 3, b = 0, x = 1
+    assert record.instance == ("kimura-diagram", 0, 3, 0, 1)
+    assert (record.lhs, record.rhs) == (True, False)
 
 
 def test_linking_elements(samples):
     for s in samples.values():
+        assert _holds(s, "linking-elements")
         for pair in comparable_pairs(s):
-            lower = sorted(pair.lower)
-            for x, y in product(lower, repeat=2):
-                link = linking_elements(s, pair, x, y)
-                same_full = full_coset_meet(
-                    s, pair.upper, x
-                ) == full_coset_meet(s, pair.upper, y)
-                if same_full:
-                    assert link == (s.m(x, y), s.m(y, x))
-                else:
-                    assert link is None
-
-
-def test_induced_subalgebra_is_valid(samples):
-    s = samples["nc5-right"]
-    pair = comparable_pairs(s)[0]
-    elems = sorted(pair.upper | pair.lower)
-    sub = induced_subalgebra(s, elems)
-    assert validate(sub.meet, sub.join).valid
-    assert sub.n == len(elems)
+            A = pair.upper
+            for x, y in product(sorted(pair.lower), repeat=2):
+                if full_coset_meet(s, A, x) == full_coset_meet(s, A, y):
+                    b, c = s.m(x, y), s.m(y, x)
+                    assert left_coset_meet(s, A, b) == left_coset_meet(s, A, y)
+                    assert right_coset_meet(s, A, c) == right_coset_meet(s, A, y)
 
 
 def test_flat_vs_full_correspondence_concordant(catalogs, samples):

@@ -7,10 +7,9 @@ from skewlat.decompose import (
     find_lattice_section,
     kimura,
     kimura_to_json,
-    projections,
     skew_diamonds,
 )
-from skewlat.greens import green_D, green_L, green_R
+from skewlat.greens import green_D
 from skewlat.kernels import relabel
 from skewlat.varieties import is_left_handed, is_right_handed
 
@@ -54,15 +53,6 @@ def test_kimura_fibered_elements_agree_over_the_base(samples):
             assert base_of_left[u] == base_of_right[v]
 
 
-def test_projections_match_quotient_classes(samples):
-    s = samples["nc5-right"]
-    pl, pr = projections(s)
-    r, l = green_R(s), green_L(s)
-    for x, y in product(range(s.n), repeat=2):
-        assert (pl[x] == pl[y]) == r.same(x, y)
-        assert (pr[x] == pr[y]) == l.same(x, y)
-
-
 def test_kimura_json_round_trip_fields(samples):
     d = kimura_to_json(kimura(samples["rect22"]))
     assert set(d) == {
@@ -84,8 +74,8 @@ def test_skew_diamonds_on_nc5(nc5_right):
 
 
 def test_skew_diamonds_absent_without_incomparable_classes(samples):
-    assert skew_diamonds(samples["chain3"]) == []
-    assert skew_diamonds(samples["rect22"]) == []
+    assert skew_diamonds(samples["chain3"]) == ()
+    assert skew_diamonds(samples["rect22"]) == ()
 
 
 def test_lattice_section_of_products():

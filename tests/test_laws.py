@@ -4,6 +4,7 @@ from skewlat.core import chain, rectangular
 from skewlat.laws import (
     ALL_LAW_CHECKS,
     check_cancellation_laws,
+    check_coset_structure_laws,
     check_decomposition_laws,
     check_flat_symmetry_laws,
     check_normality_laws,
@@ -36,6 +37,7 @@ def test_all_checks_registered():
         "normality",
         "cancellation",
         "decomposition",
+        "coset-structure",
     }
 
 
@@ -157,11 +159,21 @@ def _law_corpus(catalogs, nc5_right, nc5_left):
     return named
 
 
-# sha256 of every record, witness and note of the five law families over
-# the order <= 4 catalog, nc5 both ways and the order-3 x order-2 products;
-# a change to the law harness must not move a single instance tuple
+# sha256 of every record, witness and note of the five law families that
+# are not coset-structure, over the order <= 4 catalog, nc5 both ways and
+# the order-3 x order-2 products; a change to the law harness must not move
+# a single instance tuple
 LAW_REPORTS_SHA256 = (
     "3c9d2429bd8c88042c3f9621e7a84e9d1b73091db538c974588afcdb1ac0154b"
+)
+FIVE_FAMILIES = (
+    "cancellation", "decomposition", "flat-symmetry", "normality", "symmetry",
+)
+
+# the same for coset-structure on the same corpus: eleven records per
+# algebra, all concordant
+COSET_STRUCTURE_SHA256 = (
+    "e9e520a2c0ed181b61b70c314eb388757c0220d03d78ff65d5f422f784df4912"
 )
 
 
@@ -184,7 +196,8 @@ def _reports_sha256(named, laws):
 
 def test_law_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
     named = _law_corpus(catalogs, nc5_right, nc5_left)
-    assert _reports_sha256(named, sorted(ALL_LAW_CHECKS)) == LAW_REPORTS_SHA256
+    assert _reports_sha256(named, FIVE_FAMILIES) == LAW_REPORTS_SHA256
+    assert _reports_sha256(named, ("coset-structure",)) == COSET_STRUCTURE_SHA256
 
 
 # sha256 of the symmetry and flat-symmetry reports on the four
@@ -289,7 +302,7 @@ def test_order6_witness_families_by_hand():
         assert same_d(m[x][j[y][z]], j[m[x][y]][m[x][z]])
 
     Jc, A, B, Mc = map(frozenset, ({3, 5}, {2, 4}, {1}, {0}))
-    assert skew_diamonds(s) == [(Jc, B, A, Mc)]
+    assert skew_diamonds(s) == ((Jc, B, A, Mc),)
     coset = {
         "right-meet": lambda C, x: {m[x][c] for c in C},
         "left-meet": lambda C, x: {m[c][x] for c in C},
@@ -315,3 +328,44 @@ def test_order6_witness_families_by_hand():
     fn = coset["right-meet"]
     assert (fn(Jc, 2), fn(Jc, 4)) == ({2}, {4})
     assert fn(B, 2) == fn(B, 4) == {0}
+
+
+def test_coset_structure_forms_no_new_coset(monkeypatch, nc5_right):
+    # every map the coset-structure family reads is one the decomposition
+    # family has already put in the coset store
+    from skewlat import cosets
+    from skewlat.core import SkewLattice, direct_product
+
+    formed = []
+    for flavor in cosets.COSET_FLAVORS:
+        side, kind = flavor.split("-")
+        name = f"{side}_coset_{kind}"
+
+        def counting(s, C, x, fn=getattr(cosets, name), name=name):
+            formed.append(name)
+            return fn(s, C, x)
+
+        monkeypatch.setattr(cosets, name, counting)
+    for s in (nc5_right, direct_product(nc5_right, chain(2))):
+        s = SkewLattice(s.meet, s.join)  # an empty coset store
+        check_decomposition_laws(s)
+        assert formed
+        formed.clear()
+        assert check_coset_structure_laws(s).verdict == "concordant"
+        assert formed == []
+
+
+def test_coset_structure_concordant_on_non_symmetric_fixtures(non_symmetric7):
+    from skewlat.core import direct_product, dual, mirror
+
+    for name, s in non_symmetric7.items():
+        for tag, a in (
+            ("", s),
+            ("m", mirror(s)),
+            ("d", dual(s)),
+            ("md", mirror(dual(s))),
+            ("x2", direct_product(s, chain(2))),
+        ):
+            rep = check_coset_structure_laws(a, name + tag)
+            assert rep.verdict == "concordant", (rep.algebra, rep.witness)
+            assert len(rep.records) == 11

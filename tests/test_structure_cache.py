@@ -28,6 +28,7 @@ FACTS = {
     "natural_preorder": greens.natural_preorder,
     "dclass_order": greens.dclass_order,
     "kimura": decompose.kimura,
+    "skew_diamonds": decompose.skew_diamonds,
 }
 
 
@@ -59,7 +60,6 @@ def _analyze(s):
     decompose.kimura(s)
     decompose.find_lattice_section(s)
     decompose.skew_diamonds(s)
-    decompose.projections(s)
 
 
 ALGEBRAS = [

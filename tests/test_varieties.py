@@ -21,7 +21,6 @@ from skewlat.varieties import (
     center,
     check_identity,
     classify,
-    commutation_classes,
     eval_term,
     is_cancellative,
     is_left_cancellative,
@@ -224,17 +223,6 @@ def test_centers():
 def test_center_of_lattice_is_everything():
     s = chain(4)
     assert center(s) == frozenset(range(4))
-
-
-def test_commutation_classes(samples):
-    s = samples["nc5-right"]
-    for a in range(s.n):
-        for b in range(s.n):
-            flags = commutation_classes(s, a, b)
-            assert flags["meet_commute"] == (s.m(a, b) == s.m(b, a))
-            assert flags["join_commute"] == (s.j(a, b) == s.j(b, a))
-            assert flags["right_meet"] == (s.m(a, b) == s.m(a, b, a))
-            assert flags["left_join"] == (s.j(a, b) == s.j(a, b, a))
 
 
 @given(st.integers(1, 3), st.integers(1, 3))
