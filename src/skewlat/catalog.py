@@ -1,6 +1,6 @@
-"""Exhaustive catalogs of skew lattices up to isomorphism, isomorphism
-testing, and named constructions (the five-element non-cancellative
-algebra, primitive algebras rebuilt from coset data)."""
+"""Exhaustive catalogs of skew lattices up to isomorphism, and named
+constructions (the five-element non-cancellative algebra, primitive
+algebras rebuilt from coset data)."""
 
 from __future__ import annotations
 
@@ -21,13 +21,11 @@ from .core import (
 )
 from .errors import (
     InconsistentCosetData,
-    InternalInconsistency,
     MalformedInput,
     OrderTooLarge,
     SkewLatticeError,
 )
 from .kernels import canonical_pair, join_completions, meet_tables
-from .varieties import classify
 
 PRUNED_MAX_ORDER = 6
 NAIVE_MAX_ORDER = 3
@@ -69,28 +67,11 @@ def check_order_cap(order: int, method: str = "pruned-search"):
         raise OrderTooLarge(f"{method.replace('-', ' ')} capped at order {cap}")
 
 
-def isomorphic(a: SkewLattice, b: SkewLattice):
-    """A table-preserving bijection from a to b, or None."""
-    if a.n != b.n:
-        return None
-    n = a.n
-    cma, cja, pa = canonical_pair(_flat(a.meet), _flat(a.join), n)
-    cmb, cjb, pb = canonical_pair(_flat(b.meet), _flat(b.join), n)
-    if cma != cmb or cja != cjb:
-        return None
-    # pa relabels a to the shared canonical form, pb does the same for b;
-    # the composite pb^{-1} . pa carries a onto b.
-    inv_pb = [0] * n
-    for i, v in enumerate(pb):
-        inv_pb[v] = i
-    perm = tuple(inv_pb[pa[i]] for i in range(n))
-    for x in range(n):
-        for y in range(n):
-            if perm[a.meet[x][y]] != b.meet[perm[x]][perm[y]] or perm[
-                a.join[x][y]
-            ] != b.join[perm[x]][perm[y]]:
-                raise InternalInconsistency("canonical composition failed")
-    return perm
+def pool_size(requested: int, tasks: int) -> int:
+    """The worker processes to start for `tasks` tasks: no more than
+    requested, than the host has CPUs, or than there are tasks.  At 1 or
+    less, run the tasks serially."""
+    return min(requested, os.cpu_count() or 1, tasks)
 
 
 def _search_task(args):
@@ -135,10 +116,11 @@ def enumerate_catalog(
     in canonical form, sorted; identical output for any worker count."""
     check_order_cap(order, method)
     if method == "pruned-search":
+        tasks = [(order, p) for p in _prefixes(order)]
+        workers = pool_size(workers, len(tasks))
         if workers <= 1:
             found = _search_task((order, None))
         else:
-            tasks = [(order, p) for p in _prefixes(order)]
             with multiprocessing.Pool(workers) as pool:
                 found = set()
                 for part in pool.imap_unordered(_search_task, tasks, chunksize=64):
@@ -287,12 +269,11 @@ def primitive_from_coset_data(d: CosetData) -> SkewLattice:
 
 
 def save_catalog(cat: Catalog, directory: str):
-    """Write one JSON file per algebra plus an index with counts and
-    classification fingerprints.  An index left by an earlier save is
-    removed before the first algebra file is written, and the new one is
-    written last, to a temporary file renamed into place: a save cut short
-    leaves no index.json, so the directory reads as absent rather than
-    malformed."""
+    """Write one JSON file per algebra plus an index that lists and counts
+    them.  An index left by an earlier save is removed before the first
+    algebra file is written, and the new one is written last, to a
+    temporary file renamed into place: a save cut short leaves no
+    index.json, so the directory reads as absent rather than malformed."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "index.json")
     try:
@@ -305,11 +286,7 @@ def save_catalog(cat: Catalog, directory: str):
         with open(os.path.join(directory, name), "w") as f:
             json.dump(to_json_dict(s), f, sort_keys=True, indent=2)
             f.write("\n")
-        fingerprint = {
-            name: holds
-            for name, (holds, _) in sorted(classify(s).results.items())
-        }
-        index["algebras"].append({"file": name, "classification": fingerprint})
+        index["algebras"].append({"file": name})
     index["count"] = len(cat.algebras)
     with open(path + ".tmp", "w") as f:
         json.dump(index, f, sort_keys=True, indent=2)

@@ -280,8 +280,9 @@ def cmd_verify(args):
         raise UsageError("nothing to verify: give files, --catalog, or --order")
 
     tasks = [(i, s, label, selected) for i, (s, label) in enumerate(algebras)]
-    if args.workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(args.workers) as pool:
+    workers = _catalog.pool_size(args.workers, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = dict(pool.imap_unordered(_verify_one, tasks))
     else:
         results = dict(map(_verify_one, tasks))

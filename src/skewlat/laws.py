@@ -1,12 +1,13 @@
 """Executable coset-law checks: each structural law about symmetry,
-normality, cancellation, decomposition or coset structure is evaluated on
-a concrete algebra by computing both sides of its equivalence and reporting
-agreement.  Hypothesis-gated laws note "not applicable" rather than
-silently skipping."""
+normality, cancellation, decomposition, coset structure or the centers is
+evaluated on a concrete algebra by computing both sides of its equivalence
+and reporting agreement.  Hypothesis-gated laws note "not applicable"
+rather than silently skipping."""
 
 from __future__ import annotations
 
 from itertools import product
+from operator import getitem
 
 from .cosets import COSET_FLAVORS as _FAMILY_OPS
 from .cosets import comparable_pairs, coset_map, sides
@@ -15,6 +16,7 @@ from .decompose import kimura, skew_diamonds
 from .greens import (
     flat_preorder_L,
     flat_preorder_R,
+    green_D,
     green_L,
     green_R,
     natural_order,
@@ -648,6 +650,64 @@ def check_coset_structure_laws(
     return ConcordanceReport("coset-structure-laws", algebra, tuple(records))
 
 
+# --- the centers ----------------------------------------------------------
+
+
+def check_center_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
+    """The characterizations of the centers, one record each with one
+    instance per element a, so the witness is the least failing a.
+
+    a's R-class is {a} iff, for every b, (ii) b v a = a v b v a,
+    (iii) a v b = b v a v b, (iv) a ^ b = a ^ b ^ a and
+    (v) b ^ a = b ^ a ^ b.  a's L-class is {a} iff, for every b,
+    (vii) a v b = a v b v a, (viii) b v a = b v a v b,
+    (ix) a ^ b = b ^ a ^ b and (x) b ^ a = a ^ b ^ a.  a's D-class is {a}
+    iff its R-class and its L-class are, and iff a ^ y = y ^ a and
+    a v y = y v a for every y.
+
+    Proof of the last.  If a commutes with everything and y D a, then
+    a = a ^ y ^ a = a ^ y = y ^ a ^ y = y.  Conversely, let a's D-class
+    be {a}.  a ^ y lies in the class [a] ^ [y] of S/D, and so does y ^ a.
+    If that class is [a], both products are a.  Otherwise it is a class B
+    below {a}.  The full meet coset of {a} through each x in B is
+    {a ^ x ^ a}, and these cosets partition B (J. Leech, "The geometric
+    structure of skew lattices", Trans. AMS 335, 1993; `flat_cosets`
+    checks this).  So x -> a ^ x ^ a is an idempotent map of B onto B,
+    which makes it the identity.  Every x in B therefore lies below a, and
+    a ^ y = a ^ y ^ a = y ^ a.  The proof for v is dual.
+
+    Each characterization is read a row at a time over b, from the rows
+    and columns of the tables."""
+    mt, jt = s.meet, s.join
+    mcol, jcol = tuple(zip(*mt)), tuple(zip(*jt))
+    r, l, d = (
+        [len(rel.block_containing(a)) == 1 for a in range(s.n)]
+        for rel in (green_R(s), green_L(s), green_D(s))
+    )
+    checks = {}
+    for a in range(s.n):
+        # over every b: a ^ b, b ^ a, a v b and b v a; then a ^ b ^ a,
+        # a v b v a, b ^ a ^ b and b v a v b
+        am, ma, aj, ja = mt[a], mcol[a], jt[a], jcol[a]
+        ama, aja = tuple(map(ma.__getitem__, am)), tuple(map(ja.__getitem__, aj))
+        mam, jaj = tuple(map(getitem, mcol, ma)), tuple(map(getitem, jcol, ja))
+        for name, central, holds in (
+            ("right-center-ii", r[a], ja == aja),
+            ("right-center-iii", r[a], aj == jaj),
+            ("right-center-iv", r[a], am == ama),
+            ("right-center-v", r[a], ma == mam),
+            ("left-center-vii", l[a], aj == aja),
+            ("left-center-viii", l[a], ja == jaj),
+            ("left-center-ix", l[a], am == mam),
+            ("left-center-x", l[a], ma == ama),
+            ("center-is-both-one-sided-centers", d[a], r[a] and l[a]),
+            ("center-commutes", d[a], am == ma and aj == ja),
+        ):
+            checks.setdefault(name, []).append(((a,), central == holds))
+    records = (_aggregate(name, True, found) for name, found in checks.items())
+    return ConcordanceReport("center-laws", algebra, tuple(records))
+
+
 ALL_LAW_CHECKS = {
     "symmetry": check_symmetry_laws,
     "flat-symmetry": check_flat_symmetry_laws,
@@ -655,4 +715,5 @@ ALL_LAW_CHECKS = {
     "cancellation": check_cancellation_laws,
     "decomposition": check_decomposition_laws,
     "coset-structure": check_coset_structure_laws,
+    "center": check_center_laws,
 }

@@ -152,7 +152,7 @@ def _nablas(x, y, xy, yx, check, n, p):
     idempotent: squaring x + y - xy leaves x + y + yx - xyx - yxy plus
     xyxy - xy."""
     s = _add(x, y, p)
-    cxy, cyx = _sub(s, xy, p), _sub(s, yx, p)  # circle(x, y), circle(y, x)
+    cxy, cyx = _sub(s, xy, p), _sub(s, yx, p)  # x + y - xy, x + y - yx
     sq_xy, sq_yx = _mul(cxy, cxy, n, p), _mul(cyx, cyx, n, p)
     if check:
         xyx, yxy = _mul(xy, x, n, p), _mul(yx, y, n, p)
@@ -163,11 +163,6 @@ def _nablas(x, y, xy, yx, check, n, p):
             ):
                 raise InternalInconsistency("nabla expansion mismatch")
     return sq_xy, sq_yx
-
-
-def circle(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """x + y - xy."""
-    return x + y - x @ y
 
 
 def nabla(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:

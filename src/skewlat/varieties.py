@@ -22,11 +22,7 @@ from itertools import product
 from operator import eq, getitem
 
 from .core import SkewLattice, _cached
-from .errors import (
-    ArityMismatch,
-    ArityTooLarge,
-    InternalInconsistency,
-)
+from .errors import ArityMismatch, ArityTooLarge
 from .decompose import kimura
 from .greens import green_D, green_L, green_R
 
@@ -469,66 +465,3 @@ def classify(s: SkewLattice, names=None) -> ClassificationReport:
         results[name] = PREDICATES[name](s)
     return ClassificationReport(results)
 
-
-# --- centers and commutation ----------------------------------------------
-
-def _one_sided_center(s, rel, side, first, characterizations):
-    """Elements with a singleton `rel`-class.  Each characterization
-    (a, b) -> bool, quantified over every b, must agree with that; the
-    i-th one is reported as number `first + i` when it does not."""
-    rng = range(s.n)
-    out = set()
-    for a in rng:
-        central = len(rel.block_containing(a)) == 1
-        for i, law in enumerate(characterizations):
-            if all(law(a, b) for b in rng) != central:
-                raise InternalInconsistency(
-                    f"{side}-center characterization {i + first} disagrees at a={a}"
-                )
-        if central:
-            out.add(a)
-    return frozenset(out)
-
-
-def right_center(s: SkewLattice) -> frozenset:
-    """Elements with a singleton R-class; the characterizations (ii)-(v)
-    of right-centrality are verified along the way."""
-    return _one_sided_center(
-        s,
-        green_R(s),
-        "right",
-        2,
-        (
-            lambda a, b: s.j(b, a) == s.j(a, b, a),
-            lambda a, b: s.j(a, b) == s.j(b, a, b),
-            lambda a, b: s.m(a, b) == s.m(a, b, a),
-            lambda a, b: s.m(b, a) == s.m(b, a, b),
-        ),
-    )
-
-
-def left_center(s: SkewLattice) -> frozenset:
-    """Elements with a singleton L-class; the characterizations (vii)-(x)
-    of left-centrality are verified along the way."""
-    return _one_sided_center(
-        s,
-        green_L(s),
-        "left",
-        7,
-        (
-            lambda a, b: s.j(a, b) == s.j(a, b, a),
-            lambda a, b: s.j(b, a) == s.j(b, a, b),
-            lambda a, b: s.m(a, b) == s.m(b, a, b),
-            lambda a, b: s.m(b, a) == s.m(a, b, a),
-        ),
-    )
-
-
-def center(s: SkewLattice) -> frozenset:
-    d = green_D(s)
-    z = frozenset(
-        a for a in range(s.n) if len(d.block_containing(a)) == 1
-    )
-    if z != right_center(s) & left_center(s):
-        raise InternalInconsistency("Z != Z_L intersect Z_R")
-    return z

@@ -166,6 +166,44 @@ def test_enumerate_worker_determinism(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize("cpus, sizes", [(3, [2, 3, 3]), (None, [])])
+def test_worker_pools_are_bounded(capsys, monkeypatch, nc5_file, cpus, sizes):
+    # a pool never has more processes than the host has CPUs or than there
+    # are tasks, and one worker runs serially.  The pool here is a fake
+    # that records its size and maps in-process: no process is started
+    import multiprocessing
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.delenv("SKEWLAT_CACHE_DIR", raising=False)
+    # order 2 has 2 row-0 prefixes, order 3 has 9, and verify --order 2
+    # has 4 algebras; order 1 and one file are a single task
+    for argv in (
+        ["verify", "--order", "2"],
+        ["enumerate", "--order", "3"],
+        ["verify", nc5_file],
+    ):
+        _, serial, _ = run(capsys, *argv, "--workers", "1")
+        _, pooled, _ = run(capsys, *argv, "--workers", "100000")
+        assert pooled == serial
+    assert started == sizes
+
+
 def test_matrix_command(capsys):
     code, out, _ = run(capsys, "matrix", "--p", "3", "--sweep")
     assert code == 0
@@ -204,7 +242,7 @@ def test_verify_files(capsys, nc5_file):
     code, out, _ = run(capsys, "verify", nc5_file)
     assert code == 0
     reports = json.loads(out)
-    assert len(reports) == 6
+    assert len(reports) == 7
     assert all(r["verdict"] == "concordant" for r in reports)
 
 
@@ -304,6 +342,26 @@ def test_wrong_coset_comprehension_is_a_discordant_coset_structure(
     }
     assert report["witness"] == witness
     assert f"discordant: {path} / coset-structure-laws: {witness}" in err
+    assert "internal inconsistency" not in err
+
+
+def test_wrong_relation_is_a_discordant_center(capsys, monkeypatch, tmp_path):
+    # the center family read with L in place of R: in r12 x c2 the R-class
+    # of 0 is {0, 2}, but L's class of 0 is {0}, so 0 passes for right
+    # central.  (ii) then fails at b = 2: 2 v 0 = 2 and 0 v 2 v 0 = 0.
+    # The witness is that least failing a, as a finding, not as exit 3
+    from skewlat import greens, laws
+
+    monkeypatch.setattr(laws, "green_R", greens.green_L)
+    path = tmp_path / "r12xc2.json"
+    path.write_text(to_json(direct_product(rectangular(1, 2), chain(2))))
+    code, out, err = run(capsys, "verify", str(path), "--laws", "center")
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["law"] == "center-laws"
+    witness = {"instance": ["right-center-ii", 0], "lhs": True, "rhs": False}
+    assert report["witness"] == witness
+    assert f"discordant: {path} / center-laws: {witness}" in err
     assert "internal inconsistency" not in err
 
 

@@ -4,6 +4,7 @@ from skewlat.core import chain, rectangular
 from skewlat.laws import (
     ALL_LAW_CHECKS,
     check_cancellation_laws,
+    check_center_laws,
     check_coset_structure_laws,
     check_decomposition_laws,
     check_flat_symmetry_laws,
@@ -38,6 +39,7 @@ def test_all_checks_registered():
         "cancellation",
         "decomposition",
         "coset-structure",
+        "center",
     }
 
 
@@ -177,6 +179,13 @@ COSET_STRUCTURE_SHA256 = (
 )
 
 
+# the same for center on the same corpus: ten records per algebra, all
+# concordant
+CENTER_SHA256 = (
+    "e6fbdc5cd929b338b8e9d94637a890967c957ba1c673e3b1c68d7ab13a94821d"
+)
+
+
 def _reports_sha256(named, laws):
     """sha256 of every report of `laws` on each (name, algebra) of `named`,
     with every record's instance tuple."""
@@ -198,6 +207,7 @@ def test_law_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
     named = _law_corpus(catalogs, nc5_right, nc5_left)
     assert _reports_sha256(named, FIVE_FAMILIES) == LAW_REPORTS_SHA256
     assert _reports_sha256(named, ("coset-structure",)) == COSET_STRUCTURE_SHA256
+    assert _reports_sha256(named, ("center",)) == CENTER_SHA256
 
 
 # sha256 of the symmetry and flat-symmetry reports on the four

@@ -19,7 +19,6 @@ from skewlat.errors import (
 )
 from skewlat.matrix_rings import (
     PrimeFieldMatrix,
-    circle,
     closure,
     lower_class_matrix,
     matrix_coset_remark_check,
@@ -86,11 +85,10 @@ def test_circle_identities():
     p = 5
     a = upper_class_matrix(p, DIMS, ((2,),), ((3,),))
     b = lower_class_matrix(p, DIMS, ((1,),), ((4,),))
-    # x o y = x + y - xy
-    assert circle(a, b) == a + b - a @ b
     # on idempotents that multiply to an idempotent both ways, nabla is
-    # the square of circle
-    assert nabla(a, b) == circle(a, b) @ circle(a, b)
+    # the square of the circle product x o y = x + y - xy
+    circle = a + b - a @ b
+    assert nabla(a, b) == circle @ circle
 
 
 def test_standard_forms_are_idempotent():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from skewlat.core import chain, direct_product, dual, mirror, rectangular, validate
 from skewlat.decompose import kimura
 from skewlat.errors import ArityMismatch, ArityTooLarge
+from skewlat.greens import green_D, green_L, green_R
+from skewlat.laws import check_center_laws
 from skewlat.catalog import nc5
 from skewlat.varieties import (
     FLAVORED_SYMMETRY_PAIRS,
@@ -18,7 +20,6 @@ from skewlat.varieties import (
     M,
     Term,
     V,
-    center,
     check_identity,
     classify,
     eval_term,
@@ -35,8 +36,6 @@ from skewlat.varieties import (
     is_symmetric,
     is_upper_cancellative,
     is_upper_symmetric,
-    left_center,
-    right_center,
 )
 
 
@@ -210,19 +209,39 @@ def test_witness_is_reported_and_real(samples):
     assert not holds and witness is not None
 
 
+CENTER_LAWS = (
+    "right-center-ii",
+    "right-center-iii",
+    "right-center-iv",
+    "right-center-v",
+    "left-center-vii",
+    "left-center-viii",
+    "left-center-ix",
+    "left-center-x",
+    "center-is-both-one-sided-centers",
+    "center-commutes",
+)
+
+
 def test_centers():
+    # the D-classes of chain(2) x rectangular(2, 2) have four elements
+    # each, so no element is central: for every a, each characterization
+    # fails at some b, and some y does not commute with a
     s = direct_product(chain(2), rectangular(2, 2))
-    # central elements commute with everything under both operations
-    for e in center(s):
-        for y in range(s.n):
-            assert s.m(e, y) == s.m(y, e)
-            assert s.j(e, y) == s.j(y, e)
-    assert center(s) == left_center(s) & right_center(s)
+    assert all(len(b) == 4 for b in green_D(s).blocks)
+    rep = check_center_laws(s, "c2xr22")
+    assert [r.instance for r in rep.records] == [(n,) for n in CENTER_LAWS]
+    assert rep.verdict == "concordant"
 
 
 def test_center_of_lattice_is_everything():
+    # every Green's class of a lattice is a singleton, so every element
+    # satisfies every characterization and commutes with everything
     s = chain(4)
-    assert center(s) == frozenset(range(4))
+    assert all(len(b) == 1 for b in green_D(s).blocks)
+    rep = check_center_laws(s, "chain4")
+    assert [r.instance for r in rep.records] == [(n,) for n in CENTER_LAWS]
+    assert rep.verdict == "concordant"
 
 
 @given(st.integers(1, 3), st.integers(1, 3))
@@ -233,11 +252,51 @@ def test_rectangular_product_predicates(l, r):
     assert is_symmetric(s)[0] or (l > 1 and r > 1)
 
 
+# the right- and left-center characterizations, each at one (a, b)
+ONE_SIDED_CENTER = {
+    "ii": lambda s, a, b: s.j(b, a) == s.j(a, b, a),
+    "iii": lambda s, a, b: s.j(a, b) == s.j(b, a, b),
+    "iv": lambda s, a, b: s.m(a, b) == s.m(a, b, a),
+    "v": lambda s, a, b: s.m(b, a) == s.m(b, a, b),
+    "vii": lambda s, a, b: s.j(a, b) == s.j(a, b, a),
+    "viii": lambda s, a, b: s.j(b, a) == s.j(b, a, b),
+    "ix": lambda s, a, b: s.m(a, b) == s.m(b, a, b),
+    "x": lambda s, a, b: s.m(b, a) == s.m(a, b, a),
+}
+
+
 def test_left_center_is_right_center_of_mirror(catalogs, nc5_right, nc5_left):
+    # mirroring reverses both operations, so it swaps R and L: a's L-class
+    # in s is {a} iff its R-class in mirror(s) is, and at every (a, b) it
+    # carries (ii) b v a = a v b v a onto (vii) a v b = a v b v a, (iii)
+    # onto (viii), (iv) onto (x) and (v) onto (ix).  At each (a, b) the
+    # four right characterizations agree with one another on these
+    # algebras, as do the four left ones, so the pairing is fixed only up
+    # to the side; a right one on s read against a right one on mirror(s)
+    # fails.
+    onto = {"ii": "vii", "iii": "viii", "iv": "x", "v": "ix"}
+    swap = {**onto, **{l: r for r, l in onto.items()}}
     algebras = [s for cat in catalogs.values() for s in cat.algebras]
     for s in algebras + [nc5_right, nc5_left]:
-        assert left_center(s) == right_center(mirror(s))
-        assert right_center(s) == left_center(mirror(s))
+        t = mirror(s)
+        singletons = {
+            (name, side): {
+                a for a in range(x.n) if len(rel(x).block_containing(a)) == 1
+            }
+            for name, x in (("s", s), ("t", t))
+            for side, rel in (("R", green_R), ("L", green_L))
+        }
+        assert singletons["s", "L"] == singletons["t", "R"]
+        assert singletons["s", "R"] == singletons["t", "L"]
+        for a, b in product(range(s.n), repeat=2):
+            at = {k: holds(s, a, b) for k, holds in ONE_SIDED_CENTER.items()}
+            for k, v in at.items():
+                assert v == ONE_SIDED_CENTER[swap[k]](t, a, b), (k, a, b)
+            left = swap.keys() - onto.keys()
+            assert len({at[k] for k in onto}) == len({at[k] for k in left}) == 1
+        for k, holds in ONE_SIDED_CENTER.items():
+            central = {a for a in range(s.n) if all(holds(s, a, b) for b in range(s.n))}
+            assert central == singletons["s", "R" if k in onto else "L"], k
 
 
 def test_alternative_symmetry_axioms_agree(catalogs, catalog5):
