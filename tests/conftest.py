@@ -1,7 +1,7 @@
 import pytest
 
 from skewlat.catalog import enumerate_catalog, nc5
-from skewlat.core import SkewLattice, chain, direct_product, rectangular
+from skewlat.core import SkewLattice, chain, direct_product, dual, mirror, rectangular
 
 # one "ACCEPTANCE n (...): PASS/FAIL" line per criterion, printed after the
 # run so output capture cannot swallow them
@@ -130,3 +130,22 @@ def non_symmetric7():
         name: SkewLattice(meet, join)
         for name, (meet, join) in NON_SYMMETRIC_ORDER7.items()
     }
+
+
+@pytest.fixture(scope="session")
+def non_symmetric7_variants(non_symmetric7):
+    """(name, algebra) for each non-symmetric order-7 fixture as itself,
+    mirrored, dualised, both, and times chain(2): 20 algebras, none
+    symmetric, each quasi-distributive and exactly one of lower and upper
+    symmetric."""
+    return [
+        (name + tag, a)
+        for name, s in non_symmetric7.items()
+        for tag, a in (
+            ("", s),
+            ("m", mirror(s)),
+            ("d", dual(s)),
+            ("md", mirror(dual(s))),
+            ("x2", direct_product(s, chain(2))),
+        )
+    ]
