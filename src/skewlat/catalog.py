@@ -16,7 +16,7 @@ from .core import (
     load_algebra,
     read_json,
     require_valid,
-    to_json_dict,
+    to_json,
     validate,
 )
 from .errors import (
@@ -284,8 +284,7 @@ def save_catalog(cat: Catalog, directory: str):
     for i, s in enumerate(cat.algebras):
         name = f"order{cat.order}-{i:04d}.json"
         with open(os.path.join(directory, name), "w") as f:
-            json.dump(to_json_dict(s), f, sort_keys=True, indent=2)
-            f.write("\n")
+            f.write(to_json(s))
         index["algebras"].append({"file": name})
     index["count"] = len(cat.algebras)
     with open(path + ".tmp", "w") as f:

@@ -2,15 +2,17 @@
 normality, cancellation, decomposition, coset structure or the centers is
 evaluated on a concrete algebra by computing both sides of its equivalence
 and reporting agreement.  Hypothesis-gated laws note "not applicable"
-rather than silently skipping."""
+rather than silently skipping.
+
+Every family but decomposition is a table of statements, rows of
+(name, lhs, instances) with one record each, built by `_aggregate`."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from operator import getitem
 
-from .cosets import COSET_FLAVORS as _FAMILY_OPS
-from .cosets import comparable_pairs, coset_map, sides
+from .cosets import COSET_FLAVORS, comparable_pairs, coset_map, sides
 from .core import SkewLattice
 from .decompose import kimura, skew_diamonds
 from .greens import (
@@ -44,16 +46,6 @@ from .varieties import (
 )
 
 
-def _oriented_diamonds(s):
-    """Each skew diamond in both (A, B) orientations, for the cancellation
-    laws alone: they range over one designated incomparable class."""
-    out = []
-    for Jc, A, B, Mc in skew_diamonds(s):
-        out.append((Jc, A, B, Mc))
-        out.append((Jc, B, A, Mc))
-    return out
-
-
 def _all(pairs):
     """(all hold, least failing instance)."""
     for instance, value in pairs:
@@ -63,9 +55,18 @@ def _all(pairs):
 
 
 def _aggregate(name, predicate_value, instances):
+    """The record of one statement over (instance, value) pairs: lhs is
+    the predicate's value, rhs whether every instance holds, and the least
+    failing instance follows the name."""
     holds, witness = _all(instances)
     inst = (name,) if witness is None else (name,) + tuple(witness)
     return Record(instance=inst, lhs=predicate_value, rhs=holds)
+
+
+def _statement(value):
+    """The one instance of a statement with a single truth value: its
+    record prints as (name,) whether or not it holds."""
+    return (((), value),)
 
 
 def _diamond_maps(s, diamonds, flavor):
@@ -111,42 +112,38 @@ def _intersections(s, diamonds, labelled):
 
 def check_symmetry_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
     """Symmetry against the full-coset intersection and coset-equality
-    families over all skew diamonds."""
+    families over all skew diamonds.  symmetric-iff-both-families ties the
+    predicate to both equivalence families, the full-meet one that lower
+    symmetry reads and the full-join one that upper symmetry reads."""
     diamonds = skew_diamonds(s)
-    sym = is_symmetric(s)[0]
-    lower = is_lower_symmetric(s)[0]
-    upper = is_upper_symmetric(s)[0]
+    lower, upper = is_lower_symmetric(s)[0], is_upper_symmetric(s)[0]
+    meets, joins = (
+        tuple(_coset_equivalences(s, diamonds, f)) for f in ("full-meet", "full-join")
+    )
     intersections = _intersections(
         s, diamonds, (("meet", "full-meet"), ("join", "full-join"))
     )
-    records = [
-        _aggregate("symmetric-iff-intersections", sym, intersections),
-        _aggregate(
+    rows = (
+        ("symmetric-iff-intersections", lower and upper, intersections),
+        (
             "lower-symmetric-iff-meet-inclusion",
             lower,
             _inclusions(s, diamonds, "full-meet"),
         ),
-        _aggregate(
+        (
             "upper-symmetric-iff-join-inclusion",
             upper,
             _inclusions(s, diamonds, "full-join"),
         ),
-        _aggregate(
-            "lower-symmetric-iff-meet-equivalences",
-            lower,
-            _coset_equivalences(s, diamonds, "full-meet"),
+        ("lower-symmetric-iff-meet-equivalences", lower, meets),
+        ("upper-symmetric-iff-join-equivalences", upper, joins),
+        (
+            "symmetric-iff-both-families",
+            lower and upper,
+            _statement(_all(chain(meets, joins))[0]),
         ),
-        _aggregate(
-            "upper-symmetric-iff-join-equivalences",
-            upper,
-            _coset_equivalences(s, diamonds, "full-join"),
-        ),
-        Record(
-            instance=("symmetric-iff-both-families",),
-            lhs=sym,
-            rhs=lower and upper,
-        ),
-    ]
+    )
+    records = (_aggregate(*row) for row in rows)
     return ConcordanceReport("symmetry-coset-laws", algebra, tuple(records))
 
 
@@ -157,8 +154,8 @@ def check_flat_symmetry_laws(
     symmetry identities, plus the intersection formulas on symmetric
     algebras."""
     diamonds = skew_diamonds(s)
-    records = [
-        _aggregate(
+    rows = [
+        (
             name,
             check_identity(s, identity)[0],
             _coset_equivalences(s, diamonds, flavor),
@@ -182,11 +179,10 @@ def check_flat_symmetry_laws(
                 ("j-left", "left-join"),
             ),
         )
-        records.append(
-            _aggregate("symmetric-flat-intersections", True, intersections)
-        )
+        rows.append(("symmetric-flat-intersections", True, intersections))
     else:
         notes.append("not applicable: symmetric-flat-intersections (not symmetric)")
+    records = (_aggregate(*row) for row in rows)
     return ConcordanceReport(
         "flat-symmetry-coset-laws", algebra, tuple(records), tuple(notes)
     )
@@ -208,108 +204,108 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     their coset characterizations."""
     pairs = comparable_pairs(s)
     rrel, lrel = green_R(s), green_L(s)
-    records = []
-    notes = []
-
-    normal = is_normal(s)[0]
-    conormal = is_conormal(s)[0]
-    records.append(
-        _aggregate(
-            "normal-iff-single-full-coset",
-            normal,
-            _pair_equalities(s, pairs, "full-meet"),
-        )
-    )
-    records.append(
-        _aggregate(
-            "conormal-iff-single-full-coset",
-            conormal,
-            _pair_equalities(s, pairs, "full-join"),
-        )
-    )
-    # x L x' implies A ^ x = A ^ x'; x R x' implies x ^ A = x' ^ A
-    li, lw = _all(_pair_equalities(s, pairs, "left-meet", lrel))
-    ri, rw = _all(_pair_equalities(s, pairs, "right-meet", rrel))
-    records.append(
-        Record(
-            instance=("normal-iff-flat-implications",) + tuple(lw or rw or ()),
-            lhs=normal,
-            rhs=li and ri,
-        )
-    )
-    # (x, x' in the upper class) x R x' implies B v x = B v x';
-    # x L x' implies x v B = x' v B
-    ji, _ = _all(_pair_equalities(s, pairs, "right-join", rrel))
-    jj, _ = _all(_pair_equalities(s, pairs, "left-join", lrel))
-    records.append(
-        Record(instance=("conormal-iff-flat-implications",), lhs=conormal, rhs=ji and jj)
-    )
-    notes.append(
-        "conormal flat implications checked as (R implies B v x fixed) and "
-        "(L implies x v B fixed); the source pairs the conclusions the other "
-        "way round, which fails on conormal four-element algebras"
-    )
-
-    # quasi-normality: all four pairings of identity x coset condition,
-    # reported empirically (the source labeling is ambiguous)
+    normal, conormal = is_normal(s)[0], is_conormal(s)[0]
     lqn = check_identity(s, LEFT_QUASI_NORMAL)[0]
     rqn = check_identity(s, RIGHT_QUASI_NORMAL)[0]
-    records.append(
-        Record(instance=("left-quasi-normal-iff-R-implies-right-coset",), lhs=lqn, rhs=ri)
+    # x L x' implies A ^ x = A ^ x'; x R x' implies x ^ A = x' ^ A
+    left_meets = tuple(_pair_equalities(s, pairs, "left-meet", lrel))
+    right_meets = tuple(_pair_equalities(s, pairs, "right-meet", rrel))
+    li, ri = _all(left_meets)[0], _all(right_meets)[0]
+    # (x, x' in the upper class) x R x' implies B v x = B v x';
+    # x L x' implies x v B = x' v B
+    joins = chain(
+        _pair_equalities(s, pairs, "right-join", rrel),
+        _pair_equalities(s, pairs, "left-join", lrel),
     )
-    records.append(
-        Record(instance=("right-quasi-normal-iff-L-implies-left-coset",), lhs=rqn, rhs=li)
-    )
-    for name, lhs, rhs in (
-        ("left-quasi-normal-vs-L-condition", lqn, li),
-        ("right-quasi-normal-vs-R-condition", rqn, ri),
-    ):
-        notes.append(f"empirical {name}: {'agree' if lhs == rhs else 'differ'}")
-
     # ideal characterization of the quasi-normal identities: the principal
     # ideal y ^ S meets each L-class at most once iff right quasi-normal,
     # and S ^ y meets each R-class at most once iff left quasi-normal.
     # (The source states these with the two Green's relations exchanged,
     # which fails already at order 2.)
     ideals = [principal_ideals(s, y) for y in range(s.n)]
-
-    def ideal_classes_trivial(side, rel):
-        for y, both in enumerate(ideals):
-            ideal = both[side]
-            for x in sorted(ideal):
-                yield (y, x), {z for z in ideal if rel.same(x, z)} == {x}
-
-    records.append(
-        _aggregate(
+    rows = (
+        (
+            "normal-iff-single-full-coset",
+            normal,
+            _pair_equalities(s, pairs, "full-meet"),
+        ),
+        (
+            "conormal-iff-single-full-coset",
+            conormal,
+            _pair_equalities(s, pairs, "full-join"),
+        ),
+        ("normal-iff-flat-implications", normal, chain(left_meets, right_meets)),
+        ("conormal-iff-flat-implications", conormal, _statement(_all(joins)[0])),
+        # quasi-normality: all four pairings of identity x coset condition,
+        # reported empirically (the source labeling is ambiguous)
+        ("left-quasi-normal-iff-R-implies-right-coset", lqn, _statement(ri)),
+        ("right-quasi-normal-iff-L-implies-left-coset", rqn, _statement(li)),
+        (
             "right-quasi-normal-iff-ideal-L-trivial",
             rqn,
-            ideal_classes_trivial(0, lrel),  # y ^ S
-        )
-    )
-    records.append(
-        _aggregate(
+            (
+                ((y, x), {z for z in down if lrel.same(x, z)} == {x})
+                for y, (down, _) in enumerate(ideals)  # y ^ S
+                for x in sorted(down)
+            ),
+        ),
+        (
             "left-quasi-normal-iff-ideal-R-trivial",
             lqn,
-            ideal_classes_trivial(1, rrel),  # S ^ y
-        )
+            (
+                ((y, x), {z for z in left if rrel.same(x, z)} == {x})
+                for y, (_, left) in enumerate(ideals)  # S ^ y
+                for x in sorted(left)
+            ),
+        ),
+        ("normal-iff-both-quasi-normal", normal, _statement(lqn and rqn)),
     )
-    records.append(
-        Record(instance=("normal-iff-both-quasi-normal",), lhs=normal, rhs=lqn and rqn)
+    notes = (
+        "conormal flat implications checked as (R implies B v x fixed) and "
+        "(L implies x v B fixed); the source pairs the conclusions the other "
+        "way round, which fails on conormal four-element algebras",
+        *(
+            f"empirical {name}: {'agree' if lhs == rhs else 'differ'}"
+            for name, lhs, rhs in (
+                ("left-quasi-normal-vs-L-condition", lqn, li),
+                ("right-quasi-normal-vs-R-condition", rqn, ri),
+            )
+        ),
     )
-    return ConcordanceReport("normality-coset-laws", algebra, tuple(records), tuple(notes))
+    records = (_aggregate(*row) for row in rows)
+    return ConcordanceReport("normality-coset-laws", algebra, tuple(records), notes)
 
 
-def _diamond_family(s, flavor, diamond):
-    """Whether, on one oriented diamond (Jc, A, B, Mc), the flavor's coset
-    equality against the far class C is equivalent to the one against the
-    near class B for every pair of the designated incomparable class A."""
-    Jc, A, B, Mc = diamond
-    far = coset_map(s, flavor, sides(flavor, Jc, Mc)[0], A)
-    near = coset_map(s, flavor, B, A)
-    return all(
-        (far[x] == far[xp]) == (near[x] == near[xp])
-        for x, xp in product(far, repeat=2)
-    )
+def _cancellation_maps(s):
+    """The coset maps that the cancellation laws read, per oriented skew
+    diamond: index 2k is (A, B) of the k-th skew diamond (Jc, A, B, Mc),
+    and 2k + 1 is (B, A).  Each entry holds the designated class A,
+    ascending, and per flavor, in COSET_FLAVORS order, the flavor with its
+    maps through A of the far class C on its side and of the near class
+    B."""
+    table = []
+    for Jc, A, B, Mc in skew_diamonds(s):
+        for des, near in ((A, B), (B, A)):
+            maps = tuple(
+                (f, *(coset_map(s, f, K, des) for K in (sides(f, Jc, Mc)[0], near)))
+                for f in COSET_FLAVORS
+            )
+            table.append((sorted(des), maps))
+    return table
+
+
+def _equivalence_families(table):
+    """Per flavor, and per entry of a `_cancellation_maps` table in turn:
+    whether any two elements of A share a far coset exactly when they
+    share a near one."""
+    families = {f: [] for f in COSET_FLAVORS}
+    for A, maps in table:
+        for f, far, near in maps:
+            families[f].append(all(
+                (far[x] == far[xp]) == (near[x] == near[xp])
+                for x, xp in product(A, repeat=2)
+            ))
+    return families
 
 
 def check_cancellation_laws(
@@ -317,73 +313,46 @@ def check_cancellation_laws(
 ) -> ConcordanceReport:
     """Cancellation-related coset laws: unconditional one-directional
     implications on every algebra, and hypothesis-gated equivalences on
-    quasi-distributive/symmetric algebras."""
-    diamonds = _oriented_diamonds(s)
-    records = []
+    quasi-distributive/symmetric algebras.  Both read one table of coset
+    maps, `_cancellation_maps`."""
+    table = _cancellation_maps(s)
+    # per flavor: equal far cosets imply equal near cosets
+    downward = (
+        ((di, f, x, xp), near[x] == near[xp])
+        for di, (A, maps) in enumerate(table)
+        for x, xp in product(A, repeat=2)
+        for f, far, near in maps
+        if far[x] == far[xp]
+    )
+    rows = [("unconditional-downward-implications", True, downward)]
     notes = []
 
-    def unconditional():
-        for di, (Jc, A, B, Mc) in enumerate(diamonds):
-            # per flavor: its maps of the far class C and of B through A
-            maps = [(f, coset_map(s, f, sides(f, Jc, Mc)[0], A), coset_map(s, f, B, A))
-                    for f in _FAMILY_OPS]
-            for x, xp in product(sorted(A), repeat=2):
-                for flavor, far, near in maps:
-                    if far[x] == far[xp]:
-                        yield (di, flavor, x, xp), near[x] == near[xp]
-
-    holds, witness = _all(unconditional())
-    records.append(
-        Record(
-            instance=("unconditional-downward-implications",)
-            + tuple(witness or ()),
-            lhs=True,
-            rhs=holds,
-        )
-    )
-
     qd = is_quasi_distributive(s)[0]
-    sym = is_symmetric(s)[0]
-    lower = is_lower_symmetric(s)[0]
-    upper = is_upper_symmetric(s)[0]
+    lower, upper = is_lower_symmetric(s)[0], is_upper_symmetric(s)[0]
+    # every law that reads the families needs quasi-distributivity
+    families = _equivalence_families(table) if qd else {}
+    holds = {f: all(each) for f, each in families.items()}
 
-    # each (flavor, diamond) family once; every law that reads them
-    # needs quasi-distributivity
-    families = {
-        f: [_diamond_family(s, f, d) for d in diamonds] for f in _FAMILY_OPS
-    } if qd else {}
-    fam = lambda flavor: all(families[flavor])
-
-    if qd and sym:
+    if qd and lower and upper:
         canc = is_cancellative(s)[0]
-        records.append(
-            Record(("cancellative-iff-full-join-family",), canc, fam("full-join"))
+        coset_canc = (
+            is_left_coset_cancellative(s)[0] and is_right_coset_cancellative(s)[0]
         )
-        records.append(
-            Record(("cancellative-iff-full-meet-family",), canc, fam("full-meet"))
-        )
-        records.append(
-            Record(
-                ("cancellative-iff-flat-join-families",),
+        rows += [
+            ("cancellative-iff-full-join-family", canc, _statement(holds["full-join"])),
+            ("cancellative-iff-full-meet-family", canc, _statement(holds["full-meet"])),
+            (
+                "cancellative-iff-flat-join-families",
                 canc,
-                fam("right-join") and fam("left-join"),
-            )
-        )
-        records.append(
-            Record(
-                ("cancellative-iff-flat-meet-families",),
+                _statement(holds["right-join"] and holds["left-join"]),
+            ),
+            (
+                "cancellative-iff-flat-meet-families",
                 canc,
-                fam("right-meet") and fam("left-meet"),
-            )
-        )
-        records.append(
-            Record(
-                ("cancellative-iff-both-coset-cancellative",),
-                canc,
-                is_left_coset_cancellative(s)[0]
-                and is_right_coset_cancellative(s)[0],
-            )
-        )
+                _statement(holds["right-meet"] and holds["left-meet"]),
+            ),
+            ("cancellative-iff-both-coset-cancellative", canc, _statement(coset_canc)),
+        ]
         notes.append(
             "single-factor flat law (one coset-cancellative factor alone "
             "equivalent to one flat family) is not checked: it fails on the "
@@ -399,47 +368,40 @@ def check_cancellation_laws(
     if qd:
         # per diamond, the full-coset family is equivalent to the
         # conjunction of its two flat families
-        def full_vs_flat():
-            for di in range(len(diamonds)):
-                for kind in ("join", "meet"):
-                    yield (di, kind), families[f"full-{kind}"][di] == (
-                        families[f"right-{kind}"][di]
-                        and families[f"left-{kind}"][di]
-                    )
-
-        records.append(_aggregate("full-family-iff-flat-families", True, full_vs_flat()))
+        full_vs_flat = (
+            (
+                (di, kind),
+                families[f"full-{kind}"][di]
+                == (families[f"right-{kind}"][di] and families[f"left-{kind}"][di]),
+            )
+            for di in range(len(table))
+            for kind in ("join", "meet")
+        )
+        rows.append(("full-family-iff-flat-families", True, full_vs_flat))
     else:
         notes.append(
             "not applicable: full-vs-flat family equivalences "
             "(needs quasi-distributive)"
         )
 
-    if qd and lower:
-        records.append(
-            Record(
-                ("lower-cancellative-iff-full-join-family",),
-                is_simply_cancellative(s)[0],
-                fam("full-join"),
+    # one scan, read by whichever of the two laws below applies
+    simple = qd and (lower or upper) and is_simply_cancellative(s)[0]
+    for bound, symmetric, flavor in (
+        ("lower", lower, "full-join"),
+        ("upper", upper, "full-meet"),
+    ):
+        if qd and symmetric:
+            rows.append((
+                f"{bound}-cancellative-iff-{flavor}-family",
+                simple,
+                _statement(holds[flavor]),
+            ))
+        else:
+            notes.append(
+                f"not applicable: {bound}-cancellative law "
+                f"(needs quasi-distributive and {bound} symmetric)"
             )
-        )
-    else:
-        notes.append(
-            "not applicable: lower-cancellative law "
-            "(needs quasi-distributive and lower symmetric)"
-        )
-    if qd and upper:
-        records.append(
-            Record(
-                ("upper-cancellative-iff-full-meet-family",),
-                is_simply_cancellative(s)[0],
-                fam("full-meet"),
-            )
-        )
-    else:
-        notes.append(
-            "not applicable: upper-cancellative law "
-            "(needs quasi-distributive and upper symmetric)"
-        )
+    records = (_aggregate(*row) for row in rows)
     return ConcordanceReport(
         "cancellation-coset-laws", algebra, tuple(records), tuple(notes)
     )

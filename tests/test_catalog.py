@@ -104,15 +104,15 @@ def test_resave_cut_short_leaves_no_index(tmp_path, catalogs, monkeypatch):
     d = str(tmp_path / "cat3")
     save_catalog(catalogs[3], d)
     written = []
-    to_json_dict = skewlat.catalog.to_json_dict
+    to_json = skewlat.catalog.to_json
 
     def cut_short(s):
         written.append(s)
         if len(written) == 2:
             raise KeyboardInterrupt
-        return to_json_dict(s)
+        return to_json(s)
 
-    monkeypatch.setattr(skewlat.catalog, "to_json_dict", cut_short)
+    monkeypatch.setattr(skewlat.catalog, "to_json", cut_short)
     with pytest.raises(KeyboardInterrupt):
         save_catalog(catalogs[3], d)
     assert not os.path.exists(os.path.join(d, "index.json"))

@@ -120,10 +120,24 @@ def test_decomposition_vacuous_without_comparable_pairs():
     assert rep.verdict == "concordant"
 
 
+def test_both_families_record_reads_the_families(monkeypatch, non_symmetric7):
+    # o7.60 is upper symmetric and not lower symmetric.  With the lower
+    # predicate read wrong, symmetric-iff-both-families still reads the
+    # failing full-meet family, so it is discordant
+    import skewlat.laws
+
+    monkeypatch.setattr(skewlat.laws, "is_lower_symmetric", lambda s: (True, None))
+    rep = check_symmetry_laws(non_symmetric7["o7.60"], "o7.60")
+    (record,) = (
+        r for r in rep.records if r.instance[0] == "symmetric-iff-both-families"
+    )
+    assert record == Record(("symmetric-iff-both-families",), True, False)
+
+
 def test_single_factor_flat_law_fails_on_nc5(nc5_right, nc5_left):
     # the reason the cancellation harness uses the conjunction form: one
     # coset-cancellative identity alone does not match one flat family
-    from skewlat.laws import _FAMILY_OPS, _diamond_family, _oriented_diamonds
+    from skewlat.laws import _cancellation_maps, _equivalence_families
     from skewlat.varieties import (
         is_left_coset_cancellative,
         is_right_coset_cancellative,
@@ -135,10 +149,8 @@ def test_single_factor_flat_law_fails_on_nc5(nc5_right, nc5_left):
         assert lcc != rcc  # each variant satisfies exactly one
         single = lcc or rcc
         families = {
-            flavor: all(
-                _diamond_family(s, flavor, d) for d in _oriented_diamonds(s)
-            )
-            for flavor in _FAMILY_OPS
+            flavor: all(each)
+            for flavor, each in _equivalence_families(_cancellation_maps(s)).items()
         }
         # no single flat family is equivalent to the single identity
         assert not any(families[f] == single for f in families if single)
@@ -299,9 +311,9 @@ def test_order6_witness_families_by_hand():
 
     from skewlat.catalog import enumerate_catalog
     from skewlat.core import direct_product
-    from skewlat.cosets import coset_map
+    from skewlat.cosets import COSET_FLAVORS
     from skewlat.decompose import skew_diamonds
-    from skewlat.laws import _FAMILY_OPS, _diamond_family
+    from skewlat.laws import _cancellation_maps, _equivalence_families
 
     s = direct_product(
         enumerate_catalog(3).algebras[1], enumerate_catalog(2).algebras[0]
@@ -331,20 +343,26 @@ def test_order6_witness_families_by_hand():
         "left-join": lambda C, x: {j[x][c] for c in C},
         "full-join": lambda C, x: {j[j[c][x]][c] for c in C},
     }
-    for des, near in ((A, B), (B, A)):
+    # the harness's table: the one diamond oriented (B, A), then (A, B)
+    table = _cancellation_maps(s)
+    families = _equivalence_families(table)
+    for di, (des, near) in enumerate(((B, A), (A, B))):
+        assert table[di][0] == sorted(des)
+        maps = {f: (cf, cn) for f, cf, cn in table[di][1]}
         for flavor, fn in coset.items():
             far = Jc if flavor.endswith("meet") else Mc
             value = all(
                 (fn(far, x) == fn(far, xp)) == (fn(near, x) == fn(near, xp))
                 for x, xp in product(des, repeat=2)
             )
-            assert value == _diamond_family(s, flavor, (Jc, des, near, Mc))
-            # the maps the harness looks up hold the cosets computed here
-            for K in (far, near):
-                assert coset_map(s, flavor, K, des) == {x: fn(K, x) for x in des}
+            assert value == families[flavor][di]
+            # the maps the harness reads hold the cosets computed here
+            assert maps[flavor] == tuple(
+                {x: fn(K, x) for x in des} for K in (far, near)
+            )
             # the one failing family: right-meet through A = {2, 4}
             assert value == ((flavor, des) != ("right-meet", A))
-    assert set(coset) == set(_FAMILY_OPS)
+    assert set(coset) == set(COSET_FLAVORS) == set(families)
     fn = coset["right-meet"]
     assert (fn(Jc, 2), fn(Jc, 4)) == ({2}, {4})
     assert fn(B, 2) == fn(B, 4) == {0}
@@ -382,3 +400,52 @@ def test_coset_structure_concordant_on_non_symmetric_fixtures(
         rep = check_coset_structure_laws(a, name)
         assert rep.verdict == "concordant", (rep.algebra, rep.witness)
         assert len(rep.records) == 11
+
+
+# how many of the watched predicates each law check reads, on both
+# algebras of the test below
+PREDICATES_READ = {
+    "symmetry": 2,  # the two commutation scans
+    "flat-symmetry": 6,  # and the four flavored symmetry identities
+    "normality": 4,  # the (co)normal and quasi-normal identities
+    "cancellation": 5,  # the scans, S/D distributive, simply cancellative
+    "decomposition": 0,
+    "coset-structure": 0,
+    "center": 0,
+}
+
+
+@pytest.mark.parametrize("law", sorted(ALL_LAW_CHECKS))
+def test_each_check_evaluates_each_predicate_once(law, nc5_right, non_symmetric7):
+    # lower and upper symmetry are one _commutation_implies scan each, in
+    # the two orders of the tables, and is_symmetric is their conjunction:
+    # a check that reads all three runs the two scans once each.  The
+    # second algebra is quasi-distributive and upper symmetric only.
+    import sys
+    from collections import Counter
+
+    from skewlat import varieties
+    from skewlat.core import SkewLattice, direct_product
+
+    for s in (direct_product(nc5_right, chain(2)), non_symmetric7["o7.60"]):
+        s = SkewLattice(s.meet, s.join)
+        keys = {
+            varieties._commutation_implies.__code__:
+                lambda f: "meet-first" if f.f_locals["t"] is s.meet else "join-first",
+            varieties.check_identity.__code__: lambda f: f.f_locals["ident"].name,
+            varieties.is_simply_cancellative.__code__: lambda f: "simply-cancellative",
+            varieties.is_quasi_distributive.__code__: lambda f: "quasi-distributive",
+        }
+        counts = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in keys:
+                counts[keys[frame.f_code](frame)] += 1
+
+        sys.setprofile(profile)
+        try:
+            ALL_LAW_CHECKS[law](s)
+        finally:
+            sys.setprofile(None)
+        assert len(counts) == PREDICATES_READ[law], counts
+        assert max(counts.values(), default=1) == 1, counts
