@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import mul
 
 from . import cosets
 from .core import SkewLattice, _cached, to_json_dict
@@ -29,6 +28,7 @@ from .reports import ConcordanceReport, Record
 from .varieties import is_left_handed, is_right_handed
 
 DEFAULT_MODULUS_CAP = 97
+DIMENSION_CAP = 16  # a product kernel's source grows as n**3
 DEFAULT_CLOSURE_CAP = 512
 
 
@@ -63,6 +63,8 @@ class PrimeFieldMatrix:
     def __post_init__(self):
         _field(self.p)
         n = len(self.entries)
+        if not 1 <= n <= DIMENSION_CAP:
+            raise DimensionMismatch(f"dimension {n} is outside 1..{DIMENSION_CAP}")
         rows = tuple(tuple(v % self.p for v in row) for row in self.entries)
         for row in rows:
             if len(row) != n:
@@ -112,6 +114,8 @@ class PrimeFieldMatrix:
 # --- residue kernels -------------------------------------------------------
 # The one implementation of GF(p) arithmetic.  A matrix is a flat row-major
 # tuple of its n*n residues mod p, and every kernel returns reduced residues.
+# The product runs on straight-line code compiled once per dimension, on
+# its first use.
 
 
 def _flat(m: PrimeFieldMatrix) -> tuple:
@@ -137,11 +141,32 @@ def _sub(a, b, p):
     return tuple([(u - v) % p for u, v in zip(a, b)])
 
 
-def _mul(a, b, n, p):
-    cols = [b[j::n] for j in range(n)]
-    return tuple(
-        [sum(map(mul, a[i:i + n], c)) % p for i in range(0, n * n, n) for c in cols]
+@lru_cache(maxsize=None)
+def _kernel(n):
+    """kernel(a, b, p), the product of flat n x n matrices a and b mod p:
+    it unpacks both into locals and returns the n*n reduced dot products,
+    with no loop.  Built from source on the first product of each
+    dimension, the way dataclasses builds its methods."""
+    a = [f"a{k}" for k in range(n * n)]
+    b = [f"b{k}" for k in range(n * n)]
+    dots = (
+        "(" + " + ".join(f"{a[i + k]} * {b[k * n + j]}" for k in range(n)) + ") % p"
+        for i in range(0, n * n, n)
+        for j in range(n)
     )
+    source = (
+        "def kernel(a, b, p):\n"
+        f"    {', '.join(a)}, = a\n"
+        f"    {', '.join(b)}, = b\n"
+        f"    return ({', '.join(dots)},)\n"
+    )
+    namespace = {}
+    exec(compile(source, f"<GF(p) {n}x{n} product kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _mul(a, b, n, p):
+    return _kernel(n)(a, b, p)
 
 
 def _nablas(x, y, xy, yx, check, n, p):
@@ -280,16 +305,15 @@ def _as_block(p, rows, cols, data):
 def _assemble(p, block_dims, blocks):
     """Build the full matrix from a dict {(i, j): block} of 1-based block
     positions; missing blocks are zero."""
-    n1, n2, n3 = block_dims
-    dims = (n1, n2, n3)
-    n = sum(dims)
+    ranges = _ranges(block_dims)
+    n = ranges[2].stop
     rows = [[0] * n for _ in range(n)]
-    starts = (0, n1, n1 + n2)
     for (bi, bj), data in blocks.items():
-        data = _as_block(p, dims[bi - 1], dims[bj - 1], data)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                rows[starts[bi - 1] + i][starts[bj - 1] + j] = v
+        ri, rj = ranges[bi - 1], ranges[bj - 1]
+        data = _as_block(p, len(ri), len(rj), data)
+        for i, row in zip(ri, data):
+            for j, v in zip(rj, row):
+                rows[i][j] = v
     return PrimeFieldMatrix(p, tuple(tuple(r) for r in rows))
 
 
@@ -346,6 +370,9 @@ def _primitive(p, block_dims, a_params, b_params, handed):
     """Closure of the two diagonal idempotents and the `handed` upper and
     lower block forms of each parameter pair, verified primitive and
     `handed`."""
+    if block_dims[1] == 0:
+        # with no middle block the upper and lower forms coincide
+        raise DimensionMismatch("the middle block must be nonempty")
     upper, lower, is_handed = {
         "right": (upper_class_matrix, lower_class_matrix, is_right_handed),
         "left": (upper_class_matrix_left, lower_class_matrix_left, is_left_handed),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -303,6 +304,28 @@ def test_internal_inconsistency_exit_3(capsys, monkeypatch):
     assert err == "internal inconsistency: self-check failed\n"
 
 
+def test_wrong_matrix_fires_the_circle_check_exit_3(capsys, monkeypatch):
+    # two elements trade matrices after the closure, so the tables stay a
+    # valid right-handed algebra but no longer index x @ y and x nabla y.
+    # The a-param adds a third element: of two, x + y is the sum of their
+    # meet and join either way round, and the swap would go unseen
+    closure = matrix_rings.closure
+
+    def swapped(*args, **kwargs):
+        msl = closure(*args, **kwargs)
+        e = list(msl.elements)
+        e[0], e[1] = e[1], e[0]
+        return dataclasses.replace(msl, elements=tuple(e))
+
+    monkeypatch.setattr(matrix_rings, "closure", swapped)
+    code, out, err = run(
+        capsys, "matrix", "--p", "3", "--construction", "right", "--a-params", "1,2"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal inconsistency: nabla differs from circle\n"
+
+
 def test_wrong_coset_comprehension_exit_3(capsys, monkeypatch, tmp_path):
     # every right-join coset of the lower class is that whole class, so
     # the cosets do not partition the upper class
@@ -602,7 +625,11 @@ _DEEP = "[" * 100000 + "]" * 100000
         pytest.param(
             None, ["matrix", "--p", "3", "--a-params", "1,2,3"], id="a-params-triple"
         ),
-        pytest.param(None, ["matrix", "--p", "3", "--dims", "1,x,1"], id="dims"),
+        pytest.param(
+            None,
+            ["matrix", "--p", "3", "--dims", "1,x,1"],
+            id="matrix-unknown-option",
+        ),
         pytest.param(None, ["enumerate", "--order", "0"], id="order-0"),
         pytest.param(
             None,

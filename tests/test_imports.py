@@ -1,6 +1,6 @@
 """Every skewlat module imports on its own, in a fresh set of modules, so
 an import cycle between modules fails here whichever side is imported
-first."""
+first, and no import compiles a GF(p) product kernel."""
 
 import os
 import subprocess
@@ -21,6 +21,10 @@ for name in names:
     for key in [k for k in sys.modules if k.split(".")[0] == "skewlat"]:
         del sys.modules[key]
     importlib.import_module(name)
+    # GF(p) product kernels are compiled on first use, never at import
+    mr = sys.modules.get("skewlat.matrix_rings")
+    if mr is not None and mr._kernel.cache_info().currsize:
+        sys.exit(f"importing {name} compiled a product kernel")
 print(" ".join(names))
 """
 

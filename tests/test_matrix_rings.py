@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -185,6 +186,51 @@ def test_operators_match_the_checked_constructor(p, n, data):
         want = PrimeFieldMatrix(p, _rows(ref))
         assert got == want and hash(got) == hash(want)
         assert got.entries == want.entries == _rows(ref)
+
+
+@pytest.mark.parametrize("n,p", [(16, 97), (16, 3), (4, 97)])
+def test_product_kernel_matches_the_reference_at_the_caps(n, p):
+    # random residues, and the all-(p - 1) matrix, whose dot products
+    # reach n * (p - 1)**2 before they are reduced
+    rng = random.Random(n * p)
+    top = [[p - 1] * n for _ in range(n)]
+    rand = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    for a, b in ((rand, top), (top, rand), (top, top)):
+        got = PrimeFieldMatrix(p, _rows(a)) @ PrimeFieldMatrix(p, _rows(b))
+        assert got.entries == _rows(_ref_mul(a, b, p))
+
+
+def test_product_kernels_compile_once_per_dimension():
+    matrix_rings._kernel.cache_clear()
+    for _ in range(3):
+        for n in (1, 2, 3, matrix_rings.DIMENSION_CAP):
+            x = PrimeFieldMatrix.identity(5, n)
+            assert x @ x == x
+    info = matrix_rings._kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
+
+
+@pytest.mark.parametrize("n", [0, matrix_rings.DIMENSION_CAP + 1])
+def test_matrix_dimension_outside_the_bound_is_rejected(n):
+    with pytest.raises(DimensionMismatch):
+        PrimeFieldMatrix(5, tuple((0,) * n for _ in range(n)))
+    with pytest.raises(DimensionMismatch):
+        PrimeFieldMatrix.identity(5, n)
+
+
+@pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
+@pytest.mark.parametrize("dims", [(1, 0, 1), (0, 0, 0), (1, 1, -1), (-1, 1, 1)])
+def test_primitive_rejects_an_empty_middle_or_a_negative_block(build, dims):
+    # with no middle block the upper and lower forms coincide, so there
+    # is one class, not two
+    with pytest.raises(DimensionMismatch):
+        build(5, dims, [], [])
+
+
+@pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
+@pytest.mark.parametrize("dims", [(0, 1, 1), (1, 1, 0)])
+def test_primitive_with_an_empty_outer_block_builds(build, dims):
+    assert len(build(5, dims, [], []).elements) == 2
 
 
 def test_right_handed_model_gf3():

@@ -55,6 +55,7 @@ NOT_READ_ELSEWHERE = {
     },
     "matrix_rings": {
         "DEFAULT_MODULUS_CAP": "read by _field, the modulus check",
+        "DIMENSION_CAP": "read by PrimeFieldMatrix, the dimension check",
         "DEFAULT_CLOSURE_CAP": "closure's default cap",
         "PrimeFieldMatrix": "the type of the matrices",
         "MatrixSkewLattice": "the type of closure's result",
