@@ -86,15 +86,10 @@ def cmd_classify(args):
         f"/{len(out)} predicates hold"
     )
     name = args.assert_true
-    if name:
-        # the asserted predicate need not be among the printed ones
-        if name in out:
-            holds = out[name]["holds"]
-        else:
-            holds = varieties.PREDICATES[name](s)[0]
-        if not holds:
-            _info(f"assertion failed: {name} is false")
-            return EXIT_FINDING
+    # the asserted predicate need not be among the printed ones
+    if name and not varieties.predicate(s, name)[0]:
+        _info(f"assertion failed: {name} is false")
+        return EXIT_FINDING
     return EXIT_OK
 
 

@@ -25,25 +25,7 @@ from .greens import (
     principal_ideals,
 )
 from .reports import ConcordanceReport, Record
-from .varieties import (
-    LEFT_LOWER_SYMMETRIC,
-    LEFT_QUASI_NORMAL,
-    LEFT_UPPER_SYMMETRIC,
-    RIGHT_LOWER_SYMMETRIC,
-    RIGHT_QUASI_NORMAL,
-    RIGHT_UPPER_SYMMETRIC,
-    check_identity,
-    is_cancellative,
-    is_conormal,
-    is_left_coset_cancellative,
-    is_lower_symmetric,
-    is_normal,
-    is_quasi_distributive,
-    is_right_coset_cancellative,
-    is_simply_cancellative,
-    is_symmetric,
-    is_upper_symmetric,
-)
+from .varieties import predicate
 
 
 def _all(pairs):
@@ -116,7 +98,8 @@ def check_symmetry_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport
     predicate to both equivalence families, the full-meet one that lower
     symmetry reads and the full-join one that upper symmetry reads."""
     diamonds = skew_diamonds(s)
-    lower, upper = is_lower_symmetric(s)[0], is_upper_symmetric(s)[0]
+    lower = predicate(s, "lower-symmetric")[0]
+    upper = predicate(s, "upper-symmetric")[0]
     meets, joins = (
         tuple(_coset_equivalences(s, diamonds, f)) for f in ("full-meet", "full-join")
     )
@@ -156,19 +139,19 @@ def check_flat_symmetry_laws(
     diamonds = skew_diamonds(s)
     rows = [
         (
-            name,
-            check_identity(s, identity)[0],
+            f"{name}-iff-clause-{clause}",
+            predicate(s, name)[0],
             _coset_equivalences(s, diamonds, flavor),
         )
-        for name, identity, flavor in (
-            ("right-lower-symmetric-iff-clause-a", RIGHT_LOWER_SYMMETRIC, "right-meet"),
-            ("right-upper-symmetric-iff-clause-b", RIGHT_UPPER_SYMMETRIC, "right-join"),
-            ("left-lower-symmetric-iff-clause-c", LEFT_LOWER_SYMMETRIC, "left-meet"),
-            ("left-upper-symmetric-iff-clause-d", LEFT_UPPER_SYMMETRIC, "left-join"),
+        for name, clause, flavor in (
+            ("right-lower-symmetric", "a", "right-meet"),
+            ("right-upper-symmetric", "b", "right-join"),
+            ("left-lower-symmetric", "c", "left-meet"),
+            ("left-upper-symmetric", "d", "left-join"),
         )
     ]
     notes = []
-    if is_symmetric(s)[0]:
+    if predicate(s, "symmetric")[0]:
         intersections = _intersections(
             s,
             diamonds,
@@ -204,9 +187,10 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
     their coset characterizations."""
     pairs = comparable_pairs(s)
     rrel, lrel = green_R(s), green_L(s)
-    normal, conormal = is_normal(s)[0], is_conormal(s)[0]
-    lqn = check_identity(s, LEFT_QUASI_NORMAL)[0]
-    rqn = check_identity(s, RIGHT_QUASI_NORMAL)[0]
+    normal, conormal, lqn, rqn = (
+        predicate(s, name)[0]
+        for name in ("normal", "conormal", "left-quasi-normal", "right-quasi-normal")
+    )
     # x L x' implies A ^ x = A ^ x'; x R x' implies x ^ A = x' ^ A
     left_meets = tuple(_pair_equalities(s, pairs, "left-meet", lrel))
     right_meets = tuple(_pair_equalities(s, pairs, "right-meet", rrel))
@@ -327,16 +311,18 @@ def check_cancellation_laws(
     rows = [("unconditional-downward-implications", True, downward)]
     notes = []
 
-    qd = is_quasi_distributive(s)[0]
-    lower, upper = is_lower_symmetric(s)[0], is_upper_symmetric(s)[0]
+    qd = predicate(s, "quasi-distributive")[0]
+    lower = predicate(s, "lower-symmetric")[0]
+    upper = predicate(s, "upper-symmetric")[0]
     # every law that reads the families needs quasi-distributivity
     families = _equivalence_families(table) if qd else {}
     holds = {f: all(each) for f, each in families.items()}
 
     if qd and lower and upper:
-        canc = is_cancellative(s)[0]
+        canc = predicate(s, "cancellative")[0]
         coset_canc = (
-            is_left_coset_cancellative(s)[0] and is_right_coset_cancellative(s)[0]
+            predicate(s, "left-coset-cancellative")[0]
+            and predicate(s, "right-coset-cancellative")[0]
         )
         rows += [
             ("cancellative-iff-full-join-family", canc, _statement(holds["full-join"])),
@@ -384,8 +370,6 @@ def check_cancellation_laws(
             "(needs quasi-distributive)"
         )
 
-    # one scan, read by whichever of the two laws below applies
-    simple = qd and (lower or upper) and is_simply_cancellative(s)[0]
     for bound, symmetric, flavor in (
         ("lower", lower, "full-join"),
         ("upper", upper, "full-meet"),
@@ -393,7 +377,7 @@ def check_cancellation_laws(
         if qd and symmetric:
             rows.append((
                 f"{bound}-cancellative-iff-{flavor}-family",
-                simple,
+                predicate(s, f"{bound}-cancellative")[0],
                 _statement(holds[flavor]),
             ))
         else:

@@ -65,10 +65,12 @@ class PrimeFieldMatrix:
         n = len(self.entries)
         if not 1 <= n <= DIMENSION_CAP:
             raise DimensionMismatch(f"dimension {n} is outside 1..{DIMENSION_CAP}")
-        rows = tuple(tuple(v % self.p for v in row) for row in self.entries)
-        for row in rows:
+        for row in self.entries:
             if len(row) != n:
                 raise DimensionMismatch("matrix must be square")
+            if any(type(v) is not int for v in row):
+                raise TypeError("matrix entries must be integers")
+        rows = tuple(tuple(v % self.p for v in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -283,6 +285,8 @@ def closure(
 
 
 def _ranges(block_dims):
+    if len(block_dims) != 3:
+        raise DimensionMismatch(f"need 3 block sizes, got {len(block_dims)}")
     n1, n2, n3 = block_dims
     if min(n1, n2, n3) < 0:
         raise DimensionMismatch("block sizes must be nonnegative")
@@ -293,10 +297,10 @@ def _ranges(block_dims):
 
 
 def _as_block(p, rows, cols, data):
-    _field(p)  # a bad modulus raises NotAPrimeField here, before v % p
+    _field(p)  # NotAPrimeField for a bad modulus, before any shape check
     if data is None:
         data = tuple((0,) * cols for _ in range(rows))
-    data = tuple(tuple(v % p for v in row) for row in data)
+    data = tuple(map(tuple, data))  # reduced by PrimeFieldMatrix
     if len(data) != rows or any(len(r) != cols for r in data):
         raise DimensionMismatch(f"block must be {rows}x{cols}")
     return data
@@ -323,7 +327,7 @@ def _eye(n):
 
 def upper_class_matrix(p, block_dims, a13=None, a23=None) -> PrimeFieldMatrix:
     """[[I,0,a13],[0,I,a23],[0,0,0]] — the right-handed upper-class form."""
-    n1, n2, _ = block_dims
+    n1, n2, _ = map(len, _ranges(block_dims))
     return _assemble(
         p, block_dims, {(1, 1): _eye(n1), (2, 2): _eye(n2), (1, 3): a13, (2, 3): a23}
     )
@@ -331,7 +335,7 @@ def upper_class_matrix(p, block_dims, a13=None, a23=None) -> PrimeFieldMatrix:
 
 def lower_class_matrix(p, block_dims, b12=None, b13=None) -> PrimeFieldMatrix:
     """[[I,b12,b13],[0,0,0],[0,0,0]] — the right-handed lower-class form."""
-    n1, _, _ = block_dims
+    n1, _, _ = map(len, _ranges(block_dims))
     return _assemble(
         p, block_dims, {(1, 1): _eye(n1), (1, 2): b12, (1, 3): b13}
     )
@@ -339,7 +343,7 @@ def lower_class_matrix(p, block_dims, b12=None, b13=None) -> PrimeFieldMatrix:
 
 def upper_class_matrix_left(p, block_dims, a31=None, a32=None) -> PrimeFieldMatrix:
     """[[I,0,0],[0,I,0],[a31,a32,0]] — the left-handed upper-class form."""
-    n1, n2, _ = block_dims
+    n1, n2, _ = map(len, _ranges(block_dims))
     return _assemble(
         p, block_dims, {(1, 1): _eye(n1), (2, 2): _eye(n2), (3, 1): a31, (3, 2): a32}
     )
@@ -347,7 +351,7 @@ def upper_class_matrix_left(p, block_dims, a31=None, a32=None) -> PrimeFieldMatr
 
 def lower_class_matrix_left(p, block_dims, b21=None, b31=None) -> PrimeFieldMatrix:
     """[[I,0,0],[b21,0,0],[b31,0,0]] — the left-handed lower-class form."""
-    n1, _, _ = block_dims
+    n1, _, _ = map(len, _ranges(block_dims))
     return _assemble(
         p, block_dims, {(1, 1): _eye(n1), (2, 1): b21, (3, 1): b31}
     )
@@ -370,7 +374,7 @@ def _primitive(p, block_dims, a_params, b_params, handed):
     """Closure of the two diagonal idempotents and the `handed` upper and
     lower block forms of each parameter pair, verified primitive and
     `handed`."""
-    if block_dims[1] == 0:
+    if not _ranges(block_dims)[1]:
         # with no middle block the upper and lower forms coincide
         raise DimensionMismatch("the middle block must be nonempty")
     upper, lower, is_handed = {

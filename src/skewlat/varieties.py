@@ -2,7 +2,10 @@
 
 Every predicate returns ``(holds, witness)`` where the witness is the
 lexicographically least violating assignment (None when the predicate
-holds, or when it is not identity-shaped).
+holds, or when it is not identity-shaped).  ``PREDICATES`` maps each name
+to an :class:`Identity`, a tuple of names whose conjunction it is, or a
+function of the algebra.  Each predicate is decided once per algebra and
+read through :func:`predicate`, which keeps the result on the instance.
 
 An identity is checked by one loop over ``itertools.product(range(n),
 repeat=top)``, where x_top is the highest variable either side reads.  Its
@@ -263,13 +266,6 @@ FLAVORED_SYMMETRY_PAIRS = (
 
 # --- predicates -----------------------------------------------------------
 
-def _identity_predicate(ident):
-    def pred(s):
-        return check_identity(s, ident)
-
-    return pred
-
-
 def _handed(s, rel):
     """rel = D; witness is the least pair D-related but not rel-related."""
     d = green_D(s)
@@ -300,20 +296,6 @@ def _commutation_implies(t, u):
     return True, None
 
 
-def _all_of(*preds):
-    """The conjunction of preds; its witness is that of the first one that
-    fails, and the ones after it are not run."""
-
-    def pred(s):
-        for p in preds:
-            ok, w = p(s)
-            if not ok:
-                return ok, w
-        return True, None
-
-    return pred
-
-
 def is_upper_symmetric(s):
     """x^y = y^x implies xvy = yvx, checked over all pairs."""
     return _commutation_implies(s.meet, s.join)
@@ -322,9 +304,6 @@ def is_upper_symmetric(s):
 def is_lower_symmetric(s):
     """xvy = yvx implies x^y = y^x, checked over all pairs."""
     return _commutation_implies(s.join, s.meet)
-
-
-is_symmetric = _all_of(is_upper_symmetric, is_lower_symmetric)
 
 
 def _separated(keys):
@@ -358,10 +337,8 @@ def is_right_cancellative(s):
 def is_cancellative(s):
     """Left- and right-cancellative.  The witness is the lesser of the two
     sides' witnesses: the least (a, b, c) that either side fails on."""
-    failed = [
-        w for ok, w in (is_left_cancellative(s), is_right_cancellative(s))
-        if not ok
-    ]
+    sides = predicate(s, "left-cancellative"), predicate(s, "right-cancellative")
+    failed = [w for ok, w in sides if not ok]
     return (False, min(failed)) if failed else (True, None)
 
 
@@ -386,50 +363,33 @@ def is_quasi_distributive(s):
 
 def is_left_coset_cancellative(s):
     """S/R is cancellative."""
-    return is_cancellative(kimura(s).left_factor.quotient)
+    return predicate(kimura(s).left_factor.quotient, "cancellative")
 
 
 def is_right_coset_cancellative(s):
     """S/L is cancellative."""
-    return is_cancellative(kimura(s).right_factor.quotient)
-
-
-is_upper_cancellative = _all_of(is_upper_symmetric, is_simply_cancellative)
-is_lower_cancellative = _all_of(is_lower_symmetric, is_simply_cancellative)
-is_rectangular = _identity_predicate(RECTANGULAR)
-is_normal = _identity_predicate(NORMAL)
-is_conormal = _identity_predicate(CONORMAL)
-is_left_normal = _identity_predicate(LEFT_NORMAL)
-is_right_normal = _identity_predicate(RIGHT_NORMAL)
-is_right_quasi_normal = _identity_predicate(RIGHT_QUASI_NORMAL)
-is_left_quasi_normal = _identity_predicate(LEFT_QUASI_NORMAL)
-is_right_quasi_conormal = _identity_predicate(RIGHT_QUASI_CONORMAL)
-is_left_quasi_conormal = _identity_predicate(LEFT_QUASI_CONORMAL)
-is_right_upper_symmetric = _identity_predicate(RIGHT_UPPER_SYMMETRIC)
-is_left_upper_symmetric = _identity_predicate(LEFT_UPPER_SYMMETRIC)
-is_right_lower_symmetric = _identity_predicate(RIGHT_LOWER_SYMMETRIC)
-is_left_lower_symmetric = _identity_predicate(LEFT_LOWER_SYMMETRIC)
+    return predicate(kimura(s).right_factor.quotient, "cancellative")
 
 
 PREDICATES = {
-    "rectangular": is_rectangular,
+    "rectangular": RECTANGULAR,
     "right-handed": is_right_handed,
     "left-handed": is_left_handed,
-    "symmetric": is_symmetric,
+    "symmetric": ("upper-symmetric", "lower-symmetric"),
     "upper-symmetric": is_upper_symmetric,
     "lower-symmetric": is_lower_symmetric,
-    "right-upper-symmetric": is_right_upper_symmetric,
-    "left-upper-symmetric": is_left_upper_symmetric,
-    "right-lower-symmetric": is_right_lower_symmetric,
-    "left-lower-symmetric": is_left_lower_symmetric,
-    "normal": is_normal,
-    "conormal": is_conormal,
-    "left-normal": is_left_normal,
-    "right-normal": is_right_normal,
-    "right-quasi-normal": is_right_quasi_normal,
-    "left-quasi-normal": is_left_quasi_normal,
-    "right-quasi-conormal": is_right_quasi_conormal,
-    "left-quasi-conormal": is_left_quasi_conormal,
+    "right-upper-symmetric": RIGHT_UPPER_SYMMETRIC,
+    "left-upper-symmetric": LEFT_UPPER_SYMMETRIC,
+    "right-lower-symmetric": RIGHT_LOWER_SYMMETRIC,
+    "left-lower-symmetric": LEFT_LOWER_SYMMETRIC,
+    "normal": NORMAL,
+    "conormal": CONORMAL,
+    "left-normal": LEFT_NORMAL,
+    "right-normal": RIGHT_NORMAL,
+    "right-quasi-normal": RIGHT_QUASI_NORMAL,
+    "left-quasi-normal": LEFT_QUASI_NORMAL,
+    "right-quasi-conormal": RIGHT_QUASI_CONORMAL,
+    "left-quasi-conormal": LEFT_QUASI_CONORMAL,
     "cancellative": is_cancellative,
     "left-cancellative": is_left_cancellative,
     "right-cancellative": is_right_cancellative,
@@ -437,9 +397,36 @@ PREDICATES = {
     "quasi-distributive": is_quasi_distributive,
     "left-coset-cancellative": is_left_coset_cancellative,
     "right-coset-cancellative": is_right_coset_cancellative,
-    "upper-cancellative": is_upper_cancellative,
-    "lower-cancellative": is_lower_cancellative,
+    "upper-cancellative": ("upper-symmetric", "simply-cancellative"),
+    "lower-cancellative": ("lower-symmetric", "simply-cancellative"),
 }
+
+
+def _decide(s, entry):
+    """(holds, witness) of one PREDICATES entry on s.  A conjunction takes
+    the witness of its first part that fails, and reads no part after it."""
+    if isinstance(entry, Identity):
+        return check_identity(s, entry)
+    if isinstance(entry, tuple):
+        for part in entry:
+            ok, w = predicate(s, part)
+            if not ok:
+                return ok, w
+        return True, None
+    return entry(s)
+
+
+def predicate(s: SkewLattice, name: str):
+    """(holds, witness) for ``PREDICATES[name]`` on s, decided once per
+    instance and kept in its ``__dict__``, which is not part of ``==`` or
+    ``hash``; KeyError for an unknown name."""
+    key = f"{__name__}.predicate:{name}"
+    facts = s.__dict__
+    if key not in facts:
+        if name not in PREDICATES:
+            raise KeyError(f"unknown predicate {name!r}")
+        facts[key] = _decide(s, PREDICATES[name])
+    return facts[key]
 
 
 @dataclass
@@ -457,11 +444,6 @@ class ClassificationReport:
 
 
 def classify(s: SkewLattice, names=None) -> ClassificationReport:
-    chosen = names if names is not None else list(PREDICATES)
-    results = {}
-    for name in chosen:
-        if name not in PREDICATES:
-            raise KeyError(f"unknown predicate {name!r}")
-        results[name] = PREDICATES[name](s)
-    return ClassificationReport(results)
+    chosen = names if names is not None else PREDICATES
+    return ClassificationReport({name: predicate(s, name) for name in chosen})
 

@@ -69,11 +69,11 @@ def test_cancellation_gating_notes_on_hypothesis_failure(catalog5):
     # algebras failing the symmetry/quasi-distributivity hypotheses must be
     # reported "not applicable" rather than evaluated (the smallest such
     # algebras have order 5)
-    from skewlat.varieties import is_quasi_distributive, is_symmetric
+    from skewlat.varieties import is_quasi_distributive, predicate
 
     seen = 0
     for s in catalog5.algebras:
-        if not (is_symmetric(s)[0] and is_quasi_distributive(s)[0]):
+        if not (predicate(s, "symmetric")[0] and is_quasi_distributive(s)[0]):
             rep = check_cancellation_laws(s, "x")
             assert any("not applicable" in n for n in rep.notes)
             seen += 1
@@ -123,11 +123,17 @@ def test_decomposition_vacuous_without_comparable_pairs():
 def test_both_families_record_reads_the_families(monkeypatch, non_symmetric7):
     # o7.60 is upper symmetric and not lower symmetric.  With the lower
     # predicate read wrong, symmetric-iff-both-families still reads the
-    # failing full-meet family, so it is discordant
-    import skewlat.laws
+    # failing full-meet family, so it is discordant.  The fixture is shared
+    # and may already hold the true fact, so the fault is planted on a
+    # fresh instance
+    from skewlat import varieties
+    from skewlat.core import SkewLattice
 
-    monkeypatch.setattr(skewlat.laws, "is_lower_symmetric", lambda s: (True, None))
-    rep = check_symmetry_laws(non_symmetric7["o7.60"], "o7.60")
+    monkeypatch.setitem(
+        varieties.PREDICATES, "lower-symmetric", lambda s: (True, None)
+    )
+    s = non_symmetric7["o7.60"]
+    rep = check_symmetry_laws(SkewLattice(s.meet, s.join), "o7.60")
     (record,) = (
         r for r in rep.records if r.instance[0] == "symmetric-iff-both-families"
     )
@@ -418,7 +424,7 @@ PREDICATES_READ = {
 @pytest.mark.parametrize("law", sorted(ALL_LAW_CHECKS))
 def test_each_check_evaluates_each_predicate_once(law, nc5_right, non_symmetric7):
     # lower and upper symmetry are one _commutation_implies scan each, in
-    # the two orders of the tables, and is_symmetric is their conjunction:
+    # the two orders of the tables, and "symmetric" is their conjunction:
     # a check that reads all three runs the two scans once each.  The
     # second algebra is quasi-distributive and upper symmetric only.
     import sys

@@ -27,7 +27,9 @@ from skewlat.matrix_rings import (
     primitive_left_handed,
     primitive_right_handed,
     triangular_factorization,
+    lower_class_matrix_left,
     upper_class_matrix,
+    upper_class_matrix_left,
 )
 from skewlat.varieties import is_left_handed, is_right_handed
 
@@ -225,6 +227,42 @@ def test_primitive_rejects_an_empty_middle_or_a_negative_block(build, dims):
     # is one class, not two
     with pytest.raises(DimensionMismatch):
         build(5, dims, [], [])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda dims: primitive_right_handed(3, dims, [], []),
+        lambda dims: primitive_left_handed(3, dims, [], []),
+        *(
+            lambda dims, form=form: form(3, dims)
+            for form in (
+                upper_class_matrix,
+                lower_class_matrix,
+                upper_class_matrix_left,
+                lower_class_matrix_left,
+            )
+        ),
+    ],
+    ids=["right", "left", "upper", "lower", "upper-left", "lower-left"],
+)
+@pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1, 1)])
+def test_block_dims_of_the_wrong_length_are_rejected(build, dims):
+    with pytest.raises(DimensionMismatch, match=f"need 3 block sizes, got {len(dims)}"):
+        build(dims)
+
+
+@pytest.mark.parametrize(
+    "entries", [((1, "a"), (3, 4)), ((1.5, 0), (0, 1)), ((True, 0), (0, 1))]
+)
+def test_matrix_entries_that_are_not_integers_are_rejected(entries):
+    with pytest.raises(TypeError, match="matrix entries must be integers"):
+        PrimeFieldMatrix(3, entries)
+
+
+def test_block_entries_that_are_not_integers_are_rejected():
+    with pytest.raises(TypeError, match="matrix entries must be integers"):
+        upper_class_matrix(3, DIMS, ((0.5,),), ((1,),))
 
 
 @pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])

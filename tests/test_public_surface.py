@@ -69,6 +69,7 @@ NOT_READ_ELSEWHERE = {
     },
     "varieties": {
         "ARITY_CAP": "read by check_identity",
+        "check_identity": "decides the identity entries of PREDICATES",
         "MEET": "a Term operation",
         "JOIN": "a Term operation",
         "Term": "the type of an identity's sides",

@@ -13,11 +13,11 @@ from collections import Counter
 
 import pytest
 
-from skewlat import cosets, decompose, greens, laws
+from skewlat import cosets, decompose, greens, laws, varieties
 from skewlat.catalog import enumerate_catalog, nc5
 from skewlat.core import SkewLattice, chain, direct_product, rectangular
 from skewlat.matrix_rings import primitive_right_handed
-from skewlat.varieties import classify
+from skewlat.varieties import classify, predicate
 
 FACTS = {
     "R": greens.green_R,
@@ -87,6 +87,64 @@ def test_facts_built_at_most_once(s):
         cached = fn(s)
         hash(cached)  # immutable: shared by every caller
         assert cached == fn(fresh), name
+
+
+# the scans run inside the body of the predicate they decide
+SCANS = {varieties._commutation_implies.__code__, varieties._separated.__code__}
+
+
+def _decision(frame):
+    """(id of the algebra, what it decides) for one call of a watched body:
+    an identity check by the identity's name, a scan by its caller."""
+    code = frame.f_code
+    if code is varieties.check_identity.__code__:
+        return id(frame.f_locals["s"]), frame.f_locals["ident"].name
+    if code in SCANS:
+        frame = frame.f_back
+        return id(frame.f_locals["s"]), f"{code.co_name} in {frame.f_code.co_name}"
+    return id(frame.f_locals["s"]), code.co_name
+
+
+@pytest.mark.parametrize("which", ["nc5xc2", "o7.60", "o7.112", "o7.138", "o7.510"])
+def test_each_predicate_decided_once_per_algebra(which, nc5_right, non_symmetric7):
+    # classify, every law family and a compound predicate read the same
+    # facts: each body runs once per (algebra, predicate), the quotients'
+    # facts included
+    if which == "nc5xc2":
+        s = direct_product(nc5_right, chain(2))
+    else:
+        s = SkewLattice(non_symmetric7[which].meet, non_symmetric7[which].join)
+    watched = {varieties.check_identity.__code__, *SCANS} | {
+        f.__code__ for f in varieties.PREDICATES.values() if callable(f)
+    }
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[_decision(frame)] += 1
+
+    sys.setprofile(profile)
+    try:
+        classify(s)
+        for check in laws.ALL_LAW_CHECKS.values():
+            check(s)
+        predicate(s, "cancellative")
+    finally:
+        sys.setprofile(None)
+    assert max(counts.values()) == 1, counts.most_common(3)
+    dec = decompose.kimura(s)
+    label = {
+        id(s): "S",
+        id(dec.base.quotient): "S/D",
+        id(dec.left_factor.quotient): "S/R",
+        id(dec.right_factor.quotient): "S/L",
+    }
+    # on S: 13 identities, 11 bodies, 2 commutation and 3 cancellation
+    # scans; on S/D the distributive identity; on S/R and S/L the three
+    # cancellation bodies and the two one-sided scans
+    assert Counter(label[i] for i, _ in counts) == {
+        "S": 29, "S/D": 1, "S/R": 5, "S/L": 5
+    }
 
 
 @pytest.mark.parametrize(

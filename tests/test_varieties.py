@@ -26,16 +26,13 @@ from skewlat.varieties import (
     is_cancellative,
     is_left_cancellative,
     is_left_handed,
-    is_lower_cancellative,
     is_lower_symmetric,
     is_quasi_distributive,
-    is_rectangular,
     is_right_cancellative,
     is_right_handed,
     is_simply_cancellative,
-    is_symmetric,
-    is_upper_cancellative,
     is_upper_symmetric,
+    predicate,
 )
 
 
@@ -160,7 +157,7 @@ def test_chain_classification():
 
 
 def test_rectangular_handedness():
-    assert is_rectangular(rectangular(2, 3))[0]
+    assert predicate(rectangular(2, 3), "rectangular")[0]
     assert is_right_handed(rectangular(1, 4))[0]
     assert is_left_handed(rectangular(4, 1))[0]
     assert not is_right_handed(rectangular(2, 2))[0]
@@ -186,7 +183,7 @@ def test_cancellative_requires_symmetric_and_quasi_distributive(catalogs):
     for cat in catalogs.values():
         for s in cat.algebras:
             if is_cancellative(s)[0]:
-                assert is_symmetric(s)[0]
+                assert predicate(s, "symmetric")[0]
                 assert is_quasi_distributive(s)[0]
 
 
@@ -197,15 +194,23 @@ def test_predicate_battery_respects_kimura_factors(catalogs):
             dec = kimura(s)
             sr = dec.left_factor.quotient
             sl = dec.right_factor.quotient
-            for name, pred in PREDICATES.items():
-                assert (
-                    pred(s)[0] == (pred(sr)[0] and pred(sl)[0])
+            for name in PREDICATES:
+                assert predicate(s, name)[0] == (
+                    predicate(sr, name)[0] and predicate(sl, name)[0]
                 ), f"{name} disagrees with its factors"
+
+
+def test_unknown_predicate_name_raises_key_error():
+    s = chain(2)
+    with pytest.raises(KeyError, match="unknown predicate 'no-such'"):
+        classify(s, ["no-such"])
+    with pytest.raises(KeyError, match="unknown predicate 'no-such'"):
+        predicate(s, "no-such")
 
 
 def test_witness_is_reported_and_real(samples):
     s = samples["rect22"]
-    holds, witness = PREDICATES["right-handed"](s)
+    holds, witness = predicate(s, "right-handed")
     assert not holds and witness is not None
 
 
@@ -248,8 +253,8 @@ def test_center_of_lattice_is_everything():
 @settings(max_examples=9, deadline=None)
 def test_rectangular_product_predicates(l, r):
     s = rectangular(l, r)
-    assert is_rectangular(s)[0]
-    assert is_symmetric(s)[0] or (l > 1 and r > 1)
+    assert predicate(s, "rectangular")[0]
+    assert predicate(s, "symmetric")[0] or (l > 1 and r > 1)
 
 
 # the right- and left-center characterizations, each at one (a, b)
@@ -436,9 +441,9 @@ def test_non_symmetric_order7_symmetry_verdicts(non_symmetric7):
                 ((False, pair), (True, None)) if failing == "upper"
                 else ((True, None), (False, pair))
             ), name
-            assert is_symmetric(t) == (False, pair), name
+            assert predicate(t, "symmetric") == (False, pair), name
             # upper- and lower-cancellative require their symmetry half
             # first and report its witness when it fails
             assert is_simply_cancellative(t) == (True, None), name
-            assert is_upper_cancellative(t) == upper, name
-            assert is_lower_cancellative(t) == lower, name
+            assert predicate(t, "upper-cancellative") == upper, name
+            assert predicate(t, "lower-cancellative") == lower, name
