@@ -8,11 +8,13 @@ table from the absorption pins, filtering candidates by the two
 meet-absorption laws.  The meet cells are filled in pairs, each (i, j)
 directly followed by (j, i) (see `_cells`), so the D-order between i and
 j, which reads both, is decided as early as it can be.  Associativity and
-the D-order are re-checked only on what the cell just assigned can decide,
-and `canonical_pair` abandons a relabeling at the first row that exceeds
-the best key so far.
+the D-order are re-checked only on what the cell just assigned can decide;
+associativity by a straight-line kernel compiled on first use, once per
+(order, cell) (`_assoc_kernel`).  `canonical_pair` abandons a relabeling at
+the first row that exceeds the best key so far.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 from .core import _regular
@@ -33,50 +35,69 @@ def assoc_witness(flat, n):
     return None
 
 
-def _assoc_ok_at(t, n, pos):
-    """Associativity of every known triple that reads cell `pos`.
-
-    Called right after `pos` is assigned, on a table whose other known
-    triples already pass, so the rest of the table need not be rescanned.
-    t uses -1 for unknown; a triple touching an unknown entry is skipped.
-    """
-    i, j = divmod(pos, n)
-    v = t[pos]
-    ri, rj, rv = i * n, j * n, v * n
-    # (x, y) = (i, j): (i.j).z against i.(j.z)
-    for z in range(n):
-        b = t[rj + z]
+# The source of `_assoc_kernel(n, pos)`: one block per family of triples
+# reading cell (i, j) = divmod(pos, n), with v = t[pos] and -1 for unknown
+# (a triple touching an unknown entry is skipped).
+#   _ROW, for each z: (i.j).z against i.(j.z);
+#   _COLUMN, for each x: (x.i).j against x.(i.j);
+#   _HOLDS, for each cell (x, y): if it holds i, (x.y).j = v against
+#   x.(y.j); if it holds j, i.(x.y) = v against (i.x).y.  Both tests run,
+#   so a diagonal cell (i = j) is checked in full.
+_ROW = """\
+    b = t[{jz}]
+    if b >= 0:
+        lhs = t[rv + {z}]
+        rhs = t[{ri} + b]
+        if lhs != rhs and lhs >= 0 and rhs >= 0:
+            return False
+"""
+_COLUMN = """\
+    a = t[{xi}]
+    if a >= 0:
+        lhs = t[a * {n} + {j}]
+        rhs = t[{rx} + v]
+        if lhs != rhs and lhs >= 0 and rhs >= 0:
+            return False
+"""
+_HOLDS = """\
+    a = t[{p}]
+    if a == {i}:
+        b = t[{yj}]
         if b >= 0:
-            lhs = t[rv + z]
-            rhs = t[ri + b]
-            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+            rhs = t[{rx} + b]
+            if rhs != v and rhs >= 0:
                 return False
-    # (y, z) = (i, j): (x.i).j against x.(i.j)
-    for x in range(n):
-        a = t[x * n + i]
-        if a >= 0:
-            lhs = t[a * n + j]
-            rhs = t[x * n + v]
-            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+    if a == {j}:
+        c = t[{ix}]
+        if c >= 0:
+            lhs = t[c * {n} + {y}]
+            if lhs != v and lhs >= 0:
                 return False
-    for p, a in enumerate(t):
-        # lhs cell: x.y = i and z = j, so (x.y).z is v
-        if a == i:
-            x, y = divmod(p, n)
-            b = t[y * n + j]
-            if b >= 0:
-                rhs = t[x * n + b]
-                if rhs >= 0 and rhs != v:
-                    return False
-        # rhs cell: x = i and y.z = j, so x.(y.z) is v
-        if a == j:
-            y, z = divmod(p, n)
-            c = t[ri + y]
-            if c >= 0:
-                lhs = t[c * n + z]
-                if lhs >= 0 and lhs != v:
-                    return False
-    return True
+"""
+
+
+@lru_cache(maxsize=None)
+def _assoc_kernel(n, pos):
+    """ok(t): associativity of every known triple of the n-table t that
+    reads cell `pos`, as straight-line code with the cell's indices as
+    constants.  Called right after `pos` is assigned, on a table whose
+    other known triples already pass, so the rest of the table need not be
+    rescanned.  Built from source on first use, once per (n, pos), the way
+    `matrix_rings._kernel` is."""
+    i, j = divmod(pos, n)
+    parts = [f"def ok(t):\n    v = t[{pos}]\n    rv = v * {n}\n"]
+    parts += [_ROW.format(jz=j * n + z, z=z, ri=i * n) for z in range(n)]
+    parts += [_COLUMN.format(xi=x * n + i, n=n, j=j, rx=x * n) for x in range(n)]
+    for p in range(n * n):
+        x, y = divmod(p, n)
+        parts.append(
+            _HOLDS.format(p=p, i=i, j=j, yj=y * n + j, rx=x * n, ix=i * n + x, n=n, y=y)
+        )
+    parts.append("    return True\n")
+    source = "".join(parts)
+    namespace = {}
+    exec(compile(source, f"<associativity kernel {n}:{pos}>", "exec"), namespace)
+    return namespace["ok"]
 
 
 def _d_ordered_pair(t, n, x, y):
@@ -159,7 +180,10 @@ def meet_tables(n, prefix=None):
     """
     prefix = prefix or ()
     cands = [(v,) for v in prefix] + [range(n)] * (n * n - n - len(prefix))
-    steps = [(i * n + j, vals) for (i, j), vals in zip(_cells(n), cands)]
+    steps = [
+        (i * n + j, vals, _assoc_kernel(n, i * n + j))
+        for (i, j), vals in zip(_cells(n), cands)
+    ]
     t = [-1] * (n * n)
     for i in range(n):
         t[i * n + i] = i
@@ -177,10 +201,10 @@ def _fill_meet(t, n, steps, k, out):
         if _d_contiguous(t, n) and _regular(rows, n):
             out.append(band)
         return
-    pos, vals = steps[k]
+    pos, vals, ok = steps[k]
     for v in vals:
         t[pos] = v
-        if _assoc_ok_at(t, n, pos) and _d_ordered_at(t, n, pos):
+        if ok(t) and _d_ordered_at(t, n, pos):
             _fill_meet(t, n, steps, k + 1, out)
     t[pos] = -1
 
@@ -223,10 +247,11 @@ def join_completions(meet, n):
     for pos, val in pins.items():
         if jt[pos] < 0:
             jt[pos] = val
-            if not _assoc_ok_at(jt, n, pos):
+            if not _assoc_kernel(n, pos)(jt):
                 return []
     out = []
-    _fill_join(jt, n, sorted(cand.items()), 0, out)
+    steps = [(pos, cs, _assoc_kernel(n, pos)) for pos, cs in sorted(cand.items())]
+    _fill_join(jt, n, steps, 0, out)
     return out
 
 
@@ -237,10 +262,10 @@ def _fill_join(jt, n, steps, k, out):
     if k == len(steps):
         out.append(tuple(jt))
         return
-    pos, vals = steps[k]
+    pos, vals, ok = steps[k]
     for v in vals:
         jt[pos] = v
-        if _assoc_ok_at(jt, n, pos):
+        if ok(jt):
             _fill_join(jt, n, steps, k + 1, out)
     jt[pos] = -1
 

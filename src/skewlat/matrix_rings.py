@@ -61,6 +61,9 @@ class PrimeFieldMatrix:
     entries: tuple  # tuple of row tuples, residues mod p
 
     def __post_init__(self):
+        # before _field, whose untyped cache answers 5.0 as it answered 5
+        if type(self.p) is not int:
+            raise TypeError("modulus must be an integer")
         _field(self.p)
         n = len(self.entries)
         if not 1 <= n <= DIMENSION_CAP:

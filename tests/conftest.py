@@ -25,6 +25,12 @@ def catalog5():
 
 
 @pytest.fixture(scope="session")
+def catalog6():
+    """The order-6 catalog, searched once per session on one worker."""
+    return enumerate_catalog(6)
+
+
+@pytest.fixture(scope="session")
 def nc5_right():
     return nc5("right")
 

@@ -1,6 +1,7 @@
 """Every skewlat module imports on its own, in a fresh set of modules, so
 an import cycle between modules fails here whichever side is imported
-first, and no import compiles a GF(p) product kernel."""
+first, and no import compiles a kernel: neither a GF(p) product kernel
+nor an associativity kernel of the band searches."""
 
 import os
 import subprocess
@@ -21,10 +22,14 @@ for name in names:
     for key in [k for k in sys.modules if k.split(".")[0] == "skewlat"]:
         del sys.modules[key]
     importlib.import_module(name)
-    # GF(p) product kernels are compiled on first use, never at import
+    # GF(p) product kernels and the search's associativity kernels are
+    # compiled on first use, never at import
     mr = sys.modules.get("skewlat.matrix_rings")
     if mr is not None and mr._kernel.cache_info().currsize:
         sys.exit(f"importing {name} compiled a product kernel")
+    kp = sys.modules.get("skewlat._kernels_py")
+    if kp is not None and kp._assoc_kernel.cache_info().currsize:
+        sys.exit(f"importing {name} compiled an associativity kernel")
 print(" ".join(names))
 """
 
@@ -42,3 +47,4 @@ def test_each_module_imports_first():
     assert done.returncode == 0, done.stderr
     imported = done.stdout.split()
     assert "skewlat.cli" in imported and "skewlat.matrix_rings" in imported
+    assert "skewlat._kernels_py" in imported

@@ -148,9 +148,10 @@ def test_worker_prefixes_partition_the_search(order):
 @pytest.mark.parametrize("order,nodes", [(4, 898), (5, 16792)])
 def test_search_node_count(order, nodes, monkeypatch):
     # A node is the root plus each cell assignment that passes both checks;
-    # `_d_ordered_at` runs only after `_assoc_ok_at` has passed, so its True
-    # returns count the nodes.  This gate fixes the size of the search tree,
-    # which the fill order decides, where test_search_size fixes its output.
+    # `_d_ordered_at` runs only after the cell's associativity kernel has
+    # passed, so its True returns count the nodes.  This gate fixes the size
+    # of the search tree, which the fill order decides, where
+    # test_search_size fixes its output.
     passed = []
     d_ordered_at = _kernels_py._d_ordered_at
 
@@ -164,9 +165,92 @@ def test_search_node_count(order, nodes, monkeypatch):
     assert 1 + sum(passed) == nodes
 
 
+def _assoc_ok_at(t, n, pos):
+    """Associativity of every known triple that reads cell `pos`, by loops:
+    the labelled reference that `_kernels_py._assoc_kernel(n, pos)`, its
+    straight-line form, is checked against, as `_ref_mul` is for the GF(p)
+    product kernels.  t uses -1 for unknown; a triple touching an unknown
+    entry is skipped."""
+    i, j = divmod(pos, n)
+    v = t[pos]
+    ri, rj, rv = i * n, j * n, v * n
+    # (x, y) = (i, j): (i.j).z against i.(j.z)
+    for z in range(n):
+        b = t[rj + z]
+        if b >= 0:
+            lhs = t[rv + z]
+            rhs = t[ri + b]
+            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                return False
+    # (y, z) = (i, j): (x.i).j against x.(i.j)
+    for x in range(n):
+        a = t[x * n + i]
+        if a >= 0:
+            lhs = t[a * n + j]
+            rhs = t[x * n + v]
+            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                return False
+    for p, a in enumerate(t):
+        # lhs cell: x.y = i and z = j, so (x.y).z is v
+        if a == i:
+            x, y = divmod(p, n)
+            b = t[y * n + j]
+            if b >= 0:
+                rhs = t[x * n + b]
+                if rhs >= 0 and rhs != v:
+                    return False
+        # rhs cell: x = i and y.z = j, so x.(y.z) is v
+        if a == j:
+            y, z = divmod(p, n)
+            c = t[ri + y]
+            if c >= 0:
+                lhs = t[c * n + z]
+                if lhs >= 0 and lhs != v:
+                    return False
+    return True
+
+
+def _partial_table(data, n):
+    """A partial n-table on which both answers are common: uniform noise,
+    or a band (a chain, a left- or right-zero band, or for n <= 4 any band
+    the search lists) under a random relabeling, with random cells unknown
+    and one cell overwritten."""
+    if data.draw(st.booleans(), label="noise"):
+        cells = st.lists(st.integers(-1, n - 1), min_size=n * n, max_size=n * n)
+        return data.draw(cells, label="table")
+    pairs = list(product(range(n), repeat=2))
+    bands = [
+        tuple(min(x, y) for x, y in pairs),
+        tuple(x for x, _ in pairs),
+        tuple(y for _, y in pairs),
+    ]
+    band = data.draw(st.sampled_from(bands + (_bands(n) if n <= 4 else [])))
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    t = list(_kernels_py.relabel(band, n, perm))
+    for pos in data.draw(st.sets(st.integers(0, n * n - 1)), label="unknown"):
+        t[pos] = -1
+    pos = data.draw(st.integers(0, n * n - 1), label="overwritten")
+    t[pos] = data.draw(st.integers(-1, n - 1), label="value")
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_assoc_kernel_matches_reference(data):
+    # Every assigned cell of the table, the diagonal included: the searches
+    # never check a diagonal cell, but the kernel must be right on it too.
+    n = data.draw(st.integers(1, 7), label="n")
+    t = _partial_table(data, n)
+    for pos in range(n * n):
+        if t[pos] >= 0:
+            kernel = _kernels_py._assoc_kernel(n, pos)
+            assert kernel(t) == _assoc_ok_at(t, n, pos), (n, pos, t)
+
+
 def _assoc_ok_rescan(t, n):
     """Full O(n^3) rescan of every known triple: a deliberate, independent
-    cross-check of the incremental `_assoc_ok_at`, kept only in the tests."""
+    cross-check of the incremental associativity kernels, kept only in the
+    tests."""
     for x, y, z in product(range(n), repeat=3):
         a, b = t[x * n + y], t[y * n + z]
         if a < 0 or b < 0:
@@ -198,7 +282,7 @@ def test_incremental_assoc_matches_rescan(data):
         t[pos] = data.draw(
             st.one_of(st.just(band[pos]), st.integers(0, n - 1)), label="value"
         )
-        ok = _kernels_py._assoc_ok_at(t, n, pos)
+        ok = _kernels_py._assoc_kernel(n, pos)(t)
         assert ok == _assoc_ok_rescan(t, n)
         if not ok:
             t[pos] = -1

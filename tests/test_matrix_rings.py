@@ -260,6 +260,14 @@ def test_matrix_entries_that_are_not_integers_are_rejected(entries):
         PrimeFieldMatrix(3, entries)
 
 
+@pytest.mark.parametrize("p", [5.0, "5"])
+def test_a_modulus_that_is_not_an_integer_is_rejected(p):
+    # 5.0 would build float residues, and "5" would reach _is_prime's `<`
+    PrimeFieldMatrix(5, ((1,),))  # caches _field(5), which a lookup of 5.0 hits
+    with pytest.raises(TypeError, match="modulus must be an integer"):
+        PrimeFieldMatrix(p, ((1,),))
+
+
 def test_block_entries_that_are_not_integers_are_rejected():
     with pytest.raises(TypeError, match="matrix entries must be integers"):
         upper_class_matrix(3, DIMS, ((0.5,),), ((1,),))
