@@ -28,7 +28,7 @@ from .reports import ConcordanceReport, Record
 from .varieties import is_left_handed, is_right_handed
 
 DEFAULT_MODULUS_CAP = 97
-DIMENSION_CAP = 16  # a product kernel's source grows as n**3
+DIMENSION_CAP = 16  # the product and nabla kernels' source grows as n**3
 DEFAULT_CLOSURE_CAP = 512
 
 
@@ -119,8 +119,10 @@ class PrimeFieldMatrix:
 # --- residue kernels -------------------------------------------------------
 # The one implementation of GF(p) arithmetic.  A matrix is a flat row-major
 # tuple of its n*n residues mod p, and every kernel returns reduced residues.
-# The product runs on straight-line code compiled once per dimension, on
-# its first use.
+# The product and the closure's nabla step run on straight-line code
+# compiled once per dimension, on its first use, never at import; both
+# spell their dot products with `_dots`.  The source of each, and so its
+# compile time, grows as n**3, which DIMENSION_CAP bounds.
 
 
 def _flat(m: PrimeFieldMatrix) -> tuple:
@@ -146,28 +148,76 @@ def _sub(a, b, p):
     return tuple([(u - v) % p for u, v in zip(a, b)])
 
 
+def _names(c, n):
+    """Source of the locals c0, c1, ... that hold the entries of a flat
+    n x n matrix, each followed by a comma."""
+    return "".join(f"{c}{k}, " for k in range(n * n))
+
+
+def _dots(a, b, n):
+    """Source of the n*n unreduced dot products, row by row, of the flat
+    n x n matrices held in the locals a0, a1, ... and b0, b1, ...: the one
+    template of every product the kernels form."""
+    return [
+        " + ".join(f"{a}{i + k} * {b}{k * n + j}" for k in range(n))
+        for i in range(0, n * n, n)
+        for j in range(n)
+    ]
+
+
+def _compiled(name, *lines):
+    """The function `kernel` whose source is `lines`, compiled, the way
+    dataclasses builds its methods."""
+    namespace = {"InternalInconsistency": InternalInconsistency}
+    exec(compile("\n    ".join(lines) + "\n", name, "exec"), namespace)
+    return namespace["kernel"]
+
+
 @lru_cache(maxsize=None)
 def _kernel(n):
     """kernel(a, b, p), the product of flat n x n matrices a and b mod p:
     it unpacks both into locals and returns the n*n reduced dot products,
-    with no loop.  Built from source on the first product of each
-    dimension, the way dataclasses builds its methods."""
-    a = [f"a{k}" for k in range(n * n)]
-    b = [f"b{k}" for k in range(n * n)]
-    dots = (
-        "(" + " + ".join(f"{a[i + k]} * {b[k * n + j]}" for k in range(n)) + ") % p"
-        for i in range(0, n * n, n)
-        for j in range(n)
+    with no loop.  Built on the first product of each dimension."""
+    return _compiled(
+        f"<GF(p) {n}x{n} product kernel>",
+        "def kernel(a, b, p):",
+        f"{_names('a', n)}= a",
+        f"{_names('b', n)}= b",
+        "return (" + "".join(f"({e}) % p, " for e in _dots("a", "b", n)) + ")",
     )
-    source = (
-        "def kernel(a, b, p):\n"
-        f"    {', '.join(a)}, = a\n"
-        f"    {', '.join(b)}, = b\n"
-        f"    return ({', '.join(dots)},)\n"
+
+
+@lru_cache(maxsize=None)
+def _nabla_kernel(n):
+    """kernel(x, y, xy, yx, check, p), the body of `_nablas` for flat
+    n x n matrices, with no loop.  It unpacks xy and yx into u and v, forms
+    c = x + y - xy and d = x + y - yx unreduced, and their squares q and r
+    with one reduction per entry; if `check`, it forms
+    t = x + y - xyx - yxy once and tests both quintic forms at every entry.
+    Built on the first nabla step of each dimension."""
+    cells = range(n * n)
+    mismatch = " or ".join(
+        f"(t{k} + v{k} - q{k}) % p or (t{k} + u{k} - r{k}) % p" for k in cells
     )
-    namespace = {}
-    exec(compile(source, f"<GF(p) {n}x{n} product kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    return _compiled(
+        f"<GF(p) {n}x{n} nabla kernel>",
+        "def kernel(x, y, xy, yx, check, p):",
+        f"{_names('x', n)}= x",
+        f"{_names('y', n)}= y",
+        f"{_names('u', n)}= xy",
+        f"{_names('v', n)}= yx",
+        *(f"s = x{k} + y{k}; c{k} = s - u{k}; d{k} = s - v{k}" for k in cells),
+        *(f"q{k} = ({e}) % p" for k, e in enumerate(_dots("c", "c", n))),
+        *(f"r{k} = ({e}) % p" for k, e in enumerate(_dots("d", "d", n))),
+        "if check:",
+        *(
+            f"    t{k} = x{k} + y{k} - ({xyx}) - ({yxy})"
+            for k, (xyx, yxy) in enumerate(zip(_dots("u", "x", n), _dots("v", "y", n)))
+        ),
+        f"    if {mismatch}:",
+        '        raise InternalInconsistency("nabla expansion mismatch")',
+        f"return ({_names('q', n)}), ({_names('r', n)})",
+    )
 
 
 def _mul(a, b, n, p):
@@ -177,22 +227,11 @@ def _mul(a, b, n, p):
 def _nablas(x, y, xy, yx, check, n, p):
     """(nabla(x, y), nabla(y, x)) of flat x and y, from their products
     xy and yx.  If `check`, each is cross-checked against its quintic form,
-    nabla(x, y) = x + y + yx - xyx - yxy, in one pass over the entries; the
-    two checks share xyx and yxy.  The form holds when x, y, xy and yx are
+    nabla(x, y) = x + y + yx - xyx - yxy, at every entry; the two checks
+    share xyx and yxy.  The form holds when x, y, xy and yx are
     idempotent: squaring x + y - xy leaves x + y + yx - xyx - yxy plus
     xyxy - xy."""
-    s = _add(x, y, p)
-    cxy, cyx = _sub(s, xy, p), _sub(s, yx, p)  # x + y - xy, x + y - yx
-    sq_xy, sq_yx = _mul(cxy, cxy, n, p), _mul(cyx, cyx, n, p)
-    if check:
-        xyx, yxy = _mul(xy, x, n, p), _mul(yx, y, n, p)
-        for sq, other in ((sq_xy, yx), (sq_yx, xy)):
-            if any(
-                (a + b - c - d - e) % p
-                for a, b, c, d, e in zip(s, other, xyx, yxy, sq)
-            ):
-                raise InternalInconsistency("nabla expansion mismatch")
-    return sq_xy, sq_yx
+    return _nabla_kernel(n)(x, y, xy, yx, check, p)
 
 
 def nabla(x: PrimeFieldMatrix, y: PrimeFieldMatrix) -> PrimeFieldMatrix:
@@ -408,9 +447,10 @@ def primitive_right_handed(
     # meet and join tables already hold the indices of xy and nabla(x, y)
     elems = [_flat(m) for m in msl.elements]
     meet, join = msl.abstract.meet, msl.abstract.join
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if elems[join[i][j]] != _sub(_add(x, y, p), elems[meet[i][j]], p):
+    for x, join_x, meet_x in zip(elems, join, meet):
+        for y, jxy, mxy in zip(elems, join_x, meet_x):
+            circle = tuple([(a + b - c) % p for a, b, c in zip(x, y, elems[mxy])])
+            if elems[jxy] != circle:
                 raise InternalInconsistency("nabla differs from circle")
     return msl
 

@@ -1,7 +1,7 @@
 """Every skewlat module imports on its own, in a fresh set of modules, so
 an import cycle between modules fails here whichever side is imported
-first, and no import compiles a kernel: neither a GF(p) product kernel
-nor an associativity kernel of the band searches."""
+first, and no import compiles a kernel: not a GF(p) product or nabla
+kernel, nor an associativity kernel of the band searches."""
 
 import os
 import subprocess
@@ -22,11 +22,13 @@ for name in names:
     for key in [k for k in sys.modules if k.split(".")[0] == "skewlat"]:
         del sys.modules[key]
     importlib.import_module(name)
-    # GF(p) product kernels and the search's associativity kernels are
-    # compiled on first use, never at import
+    # GF(p) product and nabla kernels and the search's associativity
+    # kernels are compiled on first use, never at import
     mr = sys.modules.get("skewlat.matrix_rings")
     if mr is not None and mr._kernel.cache_info().currsize:
         sys.exit(f"importing {name} compiled a product kernel")
+    if mr is not None and mr._nabla_kernel.cache_info().currsize:
+        sys.exit(f"importing {name} compiled a nabla kernel")
     kp = sys.modules.get("skewlat._kernels_py")
     if kp is not None and kp._assoc_kernel.cache_info().currsize:
         sys.exit(f"importing {name} compiled an associativity kernel")

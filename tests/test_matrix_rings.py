@@ -58,17 +58,22 @@ def _rows(m):
     return tuple(tuple(r) for r in m)
 
 
-def _counting_mul(monkeypatch):
-    """Count the calls of the flat matrix-product kernel."""
+def _counting(monkeypatch, name):
+    """Count the calls of matrix_rings.<name>."""
     calls = []
-    kernel = matrix_rings._mul
+    kernel = getattr(matrix_rings, name)
 
     def counting(*args):
         calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(matrix_rings, "_mul", counting)
+    monkeypatch.setattr(matrix_rings, name, counting)
     return calls
+
+
+def _counting_mul(monkeypatch):
+    """Count the calls of the flat matrix-product kernel."""
+    return _counting(monkeypatch, "_mul")
 
 
 def test_prime_field_rejects_composites():
@@ -166,6 +171,75 @@ def test_quintic_cross_check_catches_a_wrong_nabla():
     with pytest.raises(InternalInconsistency):
         matrix_rings._nablas(a, b, wrong, ba, True, n, p)
     matrix_rings._nablas(a, b, wrong, ba, False, n, p)
+    # this wrong xy breaks the second quintic form only; with x and y
+    # swapped it is a wrong yx, which breaks the first form only, so each
+    # form's test is needed
+    with pytest.raises(InternalInconsistency, match="nabla expansion mismatch"):
+        matrix_rings._nablas(b, a, ba, wrong, True, n, p)
+    matrix_rings._nablas(b, a, ba, wrong, False, n, p)
+
+
+def _flat_rows(m):
+    return tuple(v for row in m for v in row)
+
+
+def _ref_nablas(a, b, p):
+    """(x + y - xy)^2 and (x + y - yx)^2 of nested lists, in the reference
+    arithmetic only."""
+    s = _ref_lin(a, b, 1, p)
+    squares = []
+    for prod in (_ref_mul(a, b, p), _ref_mul(b, a, p)):
+        c = _ref_lin(s, prod, -1, p)
+        squares.append(_flat_rows(_ref_mul(c, c, p)))
+    return tuple(squares)
+
+
+_NABLA_DIMS = (1, 2, 3, 4, 5, 6, matrix_rings.DIMENSION_CAP)
+
+
+@given(st.sampled_from(_NABLA_DIMS), st.sampled_from([3, 5, 97]), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_nabla_kernel_matches_the_reference(n, p, rng):
+    a, b = ([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in "ab")
+    ab, ba = _ref_mul(a, b, p), _ref_mul(b, a, p)
+    got = matrix_rings._nablas(
+        _flat_rows(a), _flat_rows(b), _flat_rows(ab), _flat_rows(ba), False, n, p
+    )
+    assert got == _ref_nablas(a, b, p)
+
+
+@given(
+    st.sampled_from(_NABLA_DIMS),
+    st.sampled_from([primitive_right_handed, primitive_left_handed]),
+    st.randoms(),
+)
+@settings(max_examples=20, deadline=None)
+def test_nabla_kernel_checks_idempotent_pairs_of_a_closure(n, build, rng):
+    # one random a- and b-param pair on blocks (n1, n2, n3) summing to n,
+    # the middle one nonempty; the block shapes are those of `build`
+    p = 3
+    n2 = rng.randint(1, n)
+    n1 = rng.randint(0, n - n2)
+    n3 = n - n1 - n2
+
+    def block(rows, cols):
+        return tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
+
+    if build is primitive_right_handed:
+        a_param = (block(n1, n3), block(n2, n3))
+        b_param = (block(n1, n2), block(n1, n3))
+    else:
+        a_param = (block(n3, n1), block(n3, n2))
+        b_param = (block(n2, n1), block(n3, n1))
+    elems = [m.entries for m in build(p, (n1, n2, n3), [a_param], [b_param]).elements]
+    x, y = rng.choice(elems), rng.choice(elems)
+    xy, yx = _ref_mul(x, y, p), _ref_mul(y, x, p)
+    for m in (x, y, xy, yx):
+        assert _ref_mul(m, m, p) == [list(r) for r in m]
+    got = matrix_rings._nablas(
+        _flat_rows(x), _flat_rows(y), _flat_rows(xy), _flat_rows(yx), True, n, p
+    )
+    assert got == _ref_nablas(x, y, p)
 
 
 def _entries(n):
@@ -383,16 +457,18 @@ def test_closure_join_table_squares_the_circle(build, params):
 
 @pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
 def test_gf5_sweep_forms_each_product_once(monkeypatch, build):
-    calls = _counting_mul(monkeypatch)
+    muls = _counting_mul(monkeypatch)
+    nablas = _counting(monkeypatch, "_nablas")
     pairs = _scalar_pairs(5)
     msl = build(5, DIMS, pairs, pairs)
-    n, gens = len(msl.elements), 2 + 2 * len(pairs)
+    n = len(msl.elements)
     assert n == 50
-    # per unordered pair: x @ y, y @ x, the two nabla squares and the xyx
-    # and yxy their quintic checks share; one idempotency test per element,
-    # so at most one per generator (the sweep's generators are all its
-    # elements)
-    assert len(calls) <= 3 * n * (n + 1) + gens
+    # x @ y and y @ x once per unordered pair, the diagonal included, and
+    # one idempotency test per element; both nablas of the pair, with
+    # their quintic checks, in one nabla step, which forms its squares,
+    # xyx and yxy without `_mul`
+    assert len(muls) == n * (n + 1) + n == 2600
+    assert len(nablas) == n * (n + 1) // 2 == 1275
 
 
 @pytest.mark.parametrize("build", [primitive_right_handed, primitive_left_handed])
@@ -422,3 +498,87 @@ def test_matrix_rejects_bad_modulus_every_time(p):
             PrimeFieldMatrix(p, ((1,),))
         with pytest.raises(NotAPrimeField):
             PrimeFieldMatrix.identity(p, 2)
+
+
+# --- input checks, from the library API ------------------------------------
+
+
+def test_a_ragged_matrix_is_rejected():
+    with pytest.raises(DimensionMismatch, match="matrix must be square"):
+        PrimeFieldMatrix(3, ((1, 0), (0,)))
+
+
+def test_closure_of_no_generators_is_rejected():
+    with pytest.raises(DimensionMismatch, match="need at least one generator"):
+        closure([])
+
+
+def test_a_block_of_the_wrong_shape_is_rejected():
+    with pytest.raises(DimensionMismatch, match="block must be 1x1"):
+        upper_class_matrix(3, DIMS, ((1, 2),), ((1,),))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # the upper-class diagonal, with a corner not a31*a13 + a32*a23
+        (((1, 0, 1), (0, 1, 0), (0, 0, 1)), r"corner block is not a31\*a13"),
+        # the lower-class diagonal, with a second row not a multiple of
+        # the first
+        (((1, 0, 0), (0, 0, 1), (0, 0, 0)), "blocks are not rank-one products"),
+    ],
+    ids=["upper", "lower"],
+)
+def test_triangular_factorization_rejects_a_wrong_product(rows, message):
+    with pytest.raises(NotInStandardForm, match=message):
+        triangular_factorization(PrimeFieldMatrix(3, rows), DIMS)
+
+
+def test_coset_check_rejects_block_sizes_of_another_dimension():
+    msl = primitive_right_handed(3, DIMS, [], [])
+    with pytest.raises(
+        NotInStandardForm, match="block sizes do not sum to matrix dimension"
+    ):
+        matrix_coset_remark_check(msl, (1, 1, 2))
+
+
+# --- self-checks, each fired by a planted fault ----------------------------
+
+
+def test_a_closure_that_drops_generators_has_one_class(monkeypatch):
+    real = matrix_rings.closure
+    monkeypatch.setattr(
+        matrix_rings, "closure", lambda gens, origin: real(gens[:1], origin=origin)
+    )
+    with pytest.raises(
+        InternalInconsistency, match="expected exactly 2 classes, found 1"
+    ):
+        primitive_right_handed(3, DIMS, [], [])
+
+
+def test_an_order_without_comparable_classes_is_caught(monkeypatch):
+    monkeypatch.setattr(cosets, "comparable_pairs", lambda s: [])
+    with pytest.raises(
+        InternalInconsistency, match="the two classes are not comparable"
+    ):
+        primitive_left_handed(3, DIMS, [], [])
+
+
+def test_block_forms_of_the_other_hand_are_caught(monkeypatch):
+    # the right-handed constructor builds its generators from the
+    # left-handed forms
+    monkeypatch.setattr(matrix_rings, "upper_class_matrix", upper_class_matrix_left)
+    monkeypatch.setattr(matrix_rings, "lower_class_matrix", lower_class_matrix_left)
+    with pytest.raises(
+        InternalInconsistency, match="constructed algebra is not right-handed"
+    ):
+        primitive_right_handed(3, DIMS, _scalar_pairs(3), _scalar_pairs(3))
+
+
+def test_a_factor_that_is_not_idempotent_is_caught(monkeypatch):
+    m = upper_class_matrix(3, DIMS, ((1,),), ((2,),))
+    monkeypatch.setattr(PrimeFieldMatrix, "is_idempotent", lambda self: False)
+    with pytest.raises(
+        InternalInconsistency, match="triangular factor is not idempotent"
+    ):
+        triangular_factorization(m, DIMS)
