@@ -4,8 +4,8 @@ evaluated on a concrete algebra by computing both sides of its equivalence
 and reporting agreement.  Hypothesis-gated laws note "not applicable"
 rather than silently skipping.
 
-Every family but decomposition is a table of statements, rows of
-(name, lhs, instances) with one record each, built by `_aggregate`."""
+Every family is a table of statements, rows of (name, lhs, instances) with
+one record each, built by `ConcordanceReport.from_rows`."""
 
 from __future__ import annotations
 
@@ -24,31 +24,8 @@ from .greens import (
     natural_order,
     principal_ideals,
 )
-from .reports import ConcordanceReport, Record
+from .reports import ConcordanceReport, _all, _statement
 from .varieties import predicate
-
-
-def _all(pairs):
-    """(all hold, least failing instance)."""
-    for instance, value in pairs:
-        if not value:
-            return False, instance
-    return True, None
-
-
-def _aggregate(name, predicate_value, instances):
-    """The record of one statement over (instance, value) pairs: lhs is
-    the predicate's value, rhs whether every instance holds, and the least
-    failing instance follows the name."""
-    holds, witness = _all(instances)
-    inst = (name,) if witness is None else (name,) + tuple(witness)
-    return Record(instance=inst, lhs=predicate_value, rhs=holds)
-
-
-def _statement(value):
-    """The one instance of a statement with a single truth value: its
-    record prints as (name,) whether or not it holds."""
-    return (((), value),)
 
 
 def _diamond_maps(s, diamonds, flavor):
@@ -126,8 +103,7 @@ def check_symmetry_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport
             _statement(_all(chain(meets, joins))[0]),
         ),
     )
-    records = (_aggregate(*row) for row in rows)
-    return ConcordanceReport("symmetry-coset-laws", algebra, tuple(records))
+    return ConcordanceReport.from_rows("symmetry-coset-laws", algebra, rows)
 
 
 def check_flat_symmetry_laws(
@@ -165,10 +141,7 @@ def check_flat_symmetry_laws(
         rows.append(("symmetric-flat-intersections", True, intersections))
     else:
         notes.append("not applicable: symmetric-flat-intersections (not symmetric)")
-    records = (_aggregate(*row) for row in rows)
-    return ConcordanceReport(
-        "flat-symmetry-coset-laws", algebra, tuple(records), tuple(notes)
-    )
+    return ConcordanceReport.from_rows("flat-symmetry-coset-laws", algebra, rows, notes)
 
 
 def _pair_equalities(s, pairs, flavor, rel=None):
@@ -219,7 +192,7 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
             _pair_equalities(s, pairs, "full-join"),
         ),
         ("normal-iff-flat-implications", normal, chain(left_meets, right_meets)),
-        ("conormal-iff-flat-implications", conormal, _statement(_all(joins)[0])),
+        ("conormal-iff-flat-implications", conormal, joins),
         # quasi-normality: all four pairings of identity x coset condition,
         # reported empirically (the source labeling is ambiguous)
         ("left-quasi-normal-iff-R-implies-right-coset", lqn, _statement(ri)),
@@ -256,8 +229,7 @@ def check_normality_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceRepor
             )
         ),
     )
-    records = (_aggregate(*row) for row in rows)
-    return ConcordanceReport("normality-coset-laws", algebra, tuple(records), notes)
+    return ConcordanceReport.from_rows("normality-coset-laws", algebra, rows, notes)
 
 
 def _cancellation_maps(s):
@@ -385,10 +357,7 @@ def check_cancellation_laws(
                 f"not applicable: {bound}-cancellative law "
                 f"(needs quasi-distributive and {bound} symmetric)"
             )
-    records = (_aggregate(*row) for row in rows)
-    return ConcordanceReport(
-        "cancellation-coset-laws", algebra, tuple(records), tuple(notes)
-    )
+    return ConcordanceReport.from_rows("cancellation-coset-laws", algebra, rows, notes)
 
 
 def _factor_map(factor, flavor, C, X):
@@ -408,11 +377,17 @@ def check_decomposition_laws(
     class when X is the lower one, join cosets of the lower class when X
     is the upper one.  Each flat equality is checked against the full one
     with the Green's relation, and each coset equality against its
-    factor-wise form through the fibered decomposition S/R x_{S/D} S/L."""
+    factor-wise form through the fibered decomposition S/R x_{S/D} S/L.
+    One record per clause and kind, whose instances (pair index, x, y) hold
+    when the two sides agree."""
     dec = kimura(s)
     xl, xr = dec.left_factor.class_of, dec.right_factor.class_of
     rrel, lrel = green_R(s), green_L(s)
-    records = []
+    checks = {name: [] for name in (
+        "factor-full-meet", "factor-left-meet", "factor-right-meet",
+        "factor-full-join", "factor-left-join", "factor-right-join",
+        "left-meet", "right-meet", "left-join", "right-join",
+    )}
     for pi, pair in enumerate(comparable_pairs(s)):
         for kind in ("meet", "join"):
             C, X = sides(kind, pair.upper, pair.lower)
@@ -433,17 +408,18 @@ def check_decomposition_laws(
                 same_full, same_right, same_left = (
                     m[x] == m[y] for m in (full, right, left)
                 )
-                clauses = (
+                for clause, lhs, rhs in (
                     ("factor-full",
                      lfull[lx] == lfull[ly] and rfull[rx] == rfull[ry],
                      same_full),
                     ("factor-left", rx == ry and lleft[lx] == lleft[ly], same_left),
                     ("factor-right", lx == ly and rright[rx] == rright[ry], same_right),
-                    (f"left-{kind}", same_left, same_full and lrel.same(x, y)),
-                    (f"right-{kind}", same_right, same_full and rrel.same(x, y)),
-                )
-                records += [Record((pi, c, x, y), lhs, rhs) for c, lhs, rhs in clauses]
-    return ConcordanceReport("decomposition-coset-laws", algebra, tuple(records))
+                    ("left", same_left, same_full and lrel.same(x, y)),
+                    ("right", same_right, same_full and rrel.same(x, y)),
+                ):
+                    checks[f"{clause}-{kind}"].append(((pi, x, y), lhs == rhs))
+    rows = ((name, True, found) for name, found in checks.items())
+    return ConcordanceReport.from_rows("decomposition-coset-laws", algebra, rows)
 
 
 # --- the coset theorems ---------------------------------------------------
@@ -592,8 +568,8 @@ def check_coset_structure_laws(
         for kind in ("meet", "join"):
             _side_theorems(checks, s, pi, pair, kind)
         _bijection_theorems(checks, s, pi, pair)
-    records = (_aggregate(name, True, found) for name, found in checks.items())
-    return ConcordanceReport("coset-structure-laws", algebra, tuple(records))
+    rows = ((name, True, found) for name, found in checks.items())
+    return ConcordanceReport.from_rows("coset-structure-laws", algebra, rows)
 
 
 # --- the centers ----------------------------------------------------------
@@ -650,8 +626,8 @@ def check_center_laws(s: SkewLattice, algebra: str = "?") -> ConcordanceReport:
             ("center-commutes", d[a], am == ma and aj == ja),
         ):
             checks.setdefault(name, []).append(((a,), central == holds))
-    records = (_aggregate(name, True, found) for name, found in checks.items())
-    return ConcordanceReport("center-laws", algebra, tuple(records))
+    rows = ((name, True, found) for name, found in checks.items())
+    return ConcordanceReport.from_rows("center-laws", algebra, rows)
 
 
 ALL_LAW_CHECKS = {

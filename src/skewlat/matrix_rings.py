@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 
 from . import cosets
 from .core import SkewLattice, _cached, to_json_dict
@@ -24,7 +24,7 @@ from .errors import (
     NotInStandardForm,
 )
 from .greens import dclass_order
-from .reports import ConcordanceReport, Record
+from .reports import ConcordanceReport
 from .varieties import is_left_handed, is_right_handed
 
 DEFAULT_MODULUS_CAP = 97
@@ -506,7 +506,8 @@ def matrix_coset_remark_check(
     msl: MatrixSkewLattice, block_dims
 ) -> ConcordanceReport:
     """Compare abstract coset equalities with the stated block-entry
-    equalities, for every pair in each class."""
+    equalities: one statement per criterion, whose instance (x, y), for
+    every pair of its class, holds when the two equalities agree."""
     r1, r2, r3 = _ranges(block_dims)
     for m in msl.elements:
         if m.dim != len(r1) + len(r2) + len(r3):
@@ -528,22 +529,16 @@ def matrix_coset_remark_check(
             ("left-upper", "left-join", ((r3, r2), (r1, r3), (r2, r3))),
         )),
     )
-    records = []
+    rows = []
     for kind, criteria in kinds:
         C, X = cosets.sides(kind, upper, lower)
         members = sorted(X)
-        checks = [
-            (name, cosets.coset_map(s, flavor, C, X),
-             {x: tuple(msl.elements[x].block(rr, cc) for rr, cc in blocks)
-              for x in members})
-            for name, flavor, blocks in criteria
-        ]
-        for x in members:
-            for y in members:
-                for name, cx, bx in checks:
-                    records.append(Record((name, x, y), cx[x] == cx[y], bx[x] == bx[y]))
-    return ConcordanceReport(
-        law="matrix-block-coset-criteria",
-        algebra=msl.origin,
-        records=tuple(records),
-    )
+        for name, flavor, blocks in criteria:
+            cx = cosets.coset_map(s, flavor, C, X)
+            bx = {x: tuple(msl.elements[x].block(rr, cc) for rr, cc in blocks)
+                  for x in members}
+            rows.append((name, True, [
+                ((x, y), (cx[x] == cx[y]) == (bx[x] == bx[y]))
+                for x, y in product(members, repeat=2)
+            ]))
+    return ConcordanceReport.from_rows("matrix-block-coset-criteria", msl.origin, rows)

@@ -13,9 +13,11 @@ from skewlat.core import (
     mirror,
     rectangular,
     to_json,
+    to_json_dict,
     validate,
 )
 from skewlat.errors import (
+    CapExceeded,
     DimensionMismatch,
     EntryOutOfRange,
     MalformedInput,
@@ -57,6 +59,20 @@ def test_validate_rejects_bad_shapes():
         validate([[0, 0], [0, 1]], [[0]])
     with pytest.raises(EntryOutOfRange):
         validate([[0, 5], [0, 1]], [[0, 1], [1, 1]])
+
+
+def test_constructors_check_their_arguments():
+    with pytest.raises(ValueError):
+        rectangular(0, 2)
+    for build in (
+        lambda: rectangular(9, 8),
+        lambda: chain(65),
+        lambda: direct_product(chain(9), chain(8)),
+    ):
+        with pytest.raises(CapExceeded):
+            build()
+    with pytest.raises(DimensionMismatch):
+        to_json_dict(chain(2), names=["a"])
 
 
 def test_checked_constructor_raises_with_report():

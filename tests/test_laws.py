@@ -31,6 +31,23 @@ def test_report_verdict_and_witness():
     assert d["verdict"] == "discordant" and d["witness"]["instance"] == ["j"]
 
 
+def test_report_scans_its_records_once():
+    scanned = []
+
+    class Counting(Record):
+        @property
+        def agree(self):
+            scanned.append(self.instance)
+            return self.lhs == self.rhs
+
+    rep = ConcordanceReport(
+        "l", "a", (Counting(("i",), True, True), Counting(("j",), False, True))
+    )
+    assert rep.to_json_dict()["witness"]["instance"] == ["j"]
+    assert rep.verdict == "discordant"
+    assert scanned == [("i",), ("j",)]
+
+
 def test_all_checks_registered():
     assert set(ALL_LAW_CHECKS) == {
         "symmetry",
@@ -184,7 +201,7 @@ def _law_corpus(catalogs, nc5_right, nc5_left):
 # the order-3 x order-2 products; a change to the law harness must not move
 # a single instance tuple
 LAW_REPORTS_SHA256 = (
-    "3c9d2429bd8c88042c3f9621e7a84e9d1b73091db538c974588afcdb1ac0154b"
+    "e5f750009c876601dc83e750285868b7e19b84e48571b40139a87d0e5923c2e2"
 )
 FIVE_FAMILIES = (
     "cancellation", "decomposition", "flat-symmetry", "normality", "symmetry",
@@ -228,6 +245,35 @@ def test_law_reports_match_golden_digest(catalogs, nc5_right, nc5_left):
     assert _reports_sha256(named, ("center",)) == CENTER_SHA256
 
 
+def test_every_report_has_one_record_per_statement(catalogs, nc5_right, nc5_left):
+    # every record of every report is one statement, named by instance[0],
+    # so `checked` counts statements: always 10 for decomposition and 6 for
+    # the matrix block criteria, here on the law corpus and on the GF(3)
+    # sweep of both constructions
+    from skewlat.matrix_rings import (
+        matrix_coset_remark_check,
+        primitive_left_handed,
+        primitive_right_handed,
+    )
+
+    reports = [
+        check(s, name)
+        for name, s in _law_corpus(catalogs, nc5_right, nc5_left)
+        for check in ALL_LAW_CHECKS.values()
+    ]
+    params = [(((x,),), ((y,),)) for x in range(3) for y in range(3)]
+    for build in (primitive_right_handed, primitive_left_handed):
+        msl = build(3, (1, 1, 1), params, params)
+        reports.append(matrix_coset_remark_check(msl, (1, 1, 1)))
+    fixed = {"decomposition-coset-laws": 10, "matrix-block-coset-criteria": 6}
+    for rep in reports:
+        names = [r.instance[0] for r in rep.records]
+        assert all(isinstance(name, str) for name in names), rep.law
+        assert len(set(names)) == len(names) == rep.to_json_dict()["checked"]
+        assert len(names) == fixed.get(rep.law, len(names)), rep.law
+    assert set(fixed) <= {rep.law for rep in reports}
+
+
 # sha256 of the symmetry and flat-symmetry reports on the four
 # non-symmetric order-7 fixtures, each as itself, mirrored, dualised, both,
 # and times chain(2): 40 reports, all concordant.  The golden corpus above
@@ -255,7 +301,7 @@ def test_non_symmetric_symmetry_reports_match_golden_digest(
 # concordant, and every cancellation report is discordant on
 # full-family-iff-flat-families.
 NON_SYMMETRIC_GATED_SHA256 = (
-    "a6adfe9bbc9afdc3561604dec163f4689b9134be1896cf566f23bf5aa9faea3f"
+    "c6d0e3887cc0d221261749ed8793b049a4fa80189d14e232c384c51746bc48c1"
 )
 
 

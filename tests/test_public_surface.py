@@ -39,6 +39,9 @@ NOT_READ_ELSEWHERE = {
     "core": {
         "from_json_dict": "read by load_algebra",
     },
+    "reports": {
+        "Record": "the type of a report's records",
+    },
     "kernels": {
         "BACKEND": "the backend in use, which the benchmark reports",
     },
@@ -166,3 +169,18 @@ def test_every_public_name_is_read_by_the_library(module):
     assert sorted(public - read - set(allowed) - set(families)) == []
     # a listed name that is gone, or is now read, leaves the list
     assert sorted(set(allowed) - (public - read)) == []
+
+
+def test_only_reports_builds_a_record():
+    # every report is a table of statements, one record each, built by
+    # ConcordanceReport.from_rows; a module that called Record itself
+    # could emit one record per instance again
+    callers = [
+        module
+        for module in GUARDED + ["cli"]
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Call)
+        and "Record"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert set(callers) == {"reports"}
